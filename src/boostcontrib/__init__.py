@@ -44,6 +44,8 @@ from .contrib import (
     decision_contributions,
     decision_space,
     feature_contributions,
+    iter_decision_contributions,
+    iter_decision_spaces,
 )
 from .data import (
     DataError,
@@ -95,6 +97,8 @@ __all__ = [
     "fit_cart",
     "fit_gbdt",
     "gbdt_predict",
+    "iter_decision_contributions",
+    "iter_decision_spaces",
     "load_csv",
     "load_model",
     "make_outlier",

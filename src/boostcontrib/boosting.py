@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cart import CartParams, SplitDecision, Tree, TreeNode, fit_cart, tree_predict
+from .cart import CartParams, SplitDecision, Tree, TreeNode, fit_cart
 from .data import Dataset
+from .kernel import FlatForest
 
 MODEL_FORMAT_VERSION = 1
 
@@ -47,7 +49,8 @@ class Ensemble:
 
     `params` is a provenance record for freshly fitted ensembles; models
     restored from disk carry None there (the file format stores only the
-    predictive state).
+    predictive state). The trees are compiled into `flat` on first use and
+    the result is cached, so they must not be changed after that.
     """
 
     f0: float
@@ -60,6 +63,11 @@ class Ensemble:
     def n_features(self) -> int:
         return len(self.feature_names)
 
+    @cached_property
+    def flat(self) -> FlatForest:
+        """The trees compiled for the batch kernel, built on first use."""
+        return FlatForest(self.trees, self.learning_rate)
+
 
 def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
     """Fit trees sequentially, each on the residuals of the running model."""
@@ -71,8 +79,9 @@ def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
         residual = ds.target - running
         rng = np.random.default_rng([params.seed, l])
         tree = fit_cart(X, residual, params.cart, rng)
-        stage = np.array([tree_predict(tree, X[i]) for i in range(ds.n_samples)])
-        running = running + params.learning_rate * stage
+        flat = FlatForest([tree], params.learning_rate)
+        for rows, ids in flat.paths(X):
+            running[rows] = running[rows] + params.learning_rate * flat.leaf_sum(ids)
         trees.append(tree)
     return Ensemble(
         f0=f0,
@@ -92,22 +101,27 @@ def _check_vector(ens: Ensemble, x) -> np.ndarray:
     return x
 
 
-def gbdt_predict(ens: Ensemble, x) -> float:
-    """f0 + learning_rate * sum of per-tree leaf values, in tree order."""
-    x = _check_vector(ens, x)
-    acc = 0.0
-    for tree in ens.trees:
-        acc += tree_predict(tree, x)
-    return ens.f0 + ens.learning_rate * acc
-
-
-def predict_batch(ens: Ensemble, X) -> np.ndarray:
+def _check_matrix(ens: Ensemble, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ens.n_features:
         raise ValueError(
             f"expected shape (n, {ens.n_features}), got {X.shape}"
         )
-    return np.array([gbdt_predict(ens, row) for row in X])
+    return X
+
+
+def gbdt_predict(ens: Ensemble, x) -> float:
+    """f0 + learning_rate * sum of per-tree leaf values, in tree order."""
+    return float(predict_batch(ens, _check_vector(ens, x)[None])[0])
+
+
+def predict_batch(ens: Ensemble, X) -> np.ndarray:
+    """gbdt_predict for every row of an (n, d) array, in one kernel pass."""
+    X = _check_matrix(ens, X)
+    out = np.empty(X.shape[0], dtype=np.float64)
+    for rows, ids in ens.flat.paths(X):
+        out[rows] = ens.f0 + ens.learning_rate * ens.flat.leaf_sum(ids)
+    return out
 
 
 def node_split_gain(tree: Tree, node: TreeNode) -> float:
@@ -187,11 +201,12 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
         _require(isinstance(raw, dict), "node entry must be an object")
         for key in ("id", "value", "n_samples", "feature", "threshold", "left", "right"):
             _require(key in raw, f"node entry missing {key!r}")
+        _require(_is_node_id(raw["id"]), f"node id must be an integer, got {raw['id']!r}")
         _require(raw["id"] not in position, f"duplicate node id {raw['id']}")
         position[raw["id"]] = pos
 
     def child_pos(raw_id) -> int:
-        _require(raw_id in position, f"unknown node id {raw_id}")
+        _require(_is_node_id(raw_id) and raw_id in position, f"unknown node id {raw_id!r}")
         return position[raw_id]
 
     nodes = []
@@ -218,7 +233,29 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
                 right=child_pos(raw["right"]),
             )
         )
-    return Tree(nodes=nodes, root=child_pos(obj["root"]), n_features=n_features)
+    tree = Tree(nodes=nodes, root=child_pos(obj["root"]), n_features=n_features)
+    _require_tree_shape(tree, [raw["id"] for raw in raw_nodes])
+    return tree
+
+
+def _is_node_id(raw_id) -> bool:
+    return isinstance(raw_id, int) and not isinstance(raw_id, bool)
+
+
+def _require_tree_shape(tree: Tree, ids: list[int]) -> None:
+    """Every node is reached from the root exactly once: no cycle, no
+    shared subtree, no orphan. Traversal relies on this to terminate."""
+    reached = [False] * len(tree.nodes)
+    stack = [tree.root]
+    while stack:
+        node_id = stack.pop()
+        _require(not reached[node_id], f"node id {ids[node_id]} is reached twice from the root")
+        reached[node_id] = True
+        node = tree.nodes[node_id]
+        if node.split is not None:
+            stack += (node.right, node.left)
+    if not all(reached):
+        raise ModelFormatError(f"node id {ids[reached.index(False)]} is not reached from the root")
 
 
 def load_model(path) -> Ensemble:

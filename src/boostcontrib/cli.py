@@ -25,7 +25,7 @@ from .boosting import (
     save_model,
 )
 from .cart import CartParams, decision_path
-from .contrib import batch_explain, decision_space, feature_contributions
+from .contrib import batch_explain, iter_decision_contributions, iter_decision_spaces
 from .data import DataError, Dataset, load_csv, train_test_split
 from .experiments import (
     DEFAULT_NOISE_LEVELS,
@@ -132,21 +132,6 @@ def cmd_explain(args) -> int:
     )
 
     if args.decision_records:
-        rows = []
-        for i, e in enumerate(explanations):
-            for r in e.records:
-                rows.append(
-                    [
-                        i,
-                        r.tree_index,
-                        r.step,
-                        model.feature_names[r.feature],
-                        r.threshold,
-                        r.direction,
-                        r.residue,
-                        r.scaled_residue,
-                    ]
-                )
         _write_csv(
             args.decision_records,
             [
@@ -159,18 +144,31 @@ def cmd_explain(args) -> int:
                 "residue",
                 "scaled_residue",
             ],
-            rows,
+            (
+                [
+                    i,
+                    r.tree_index,
+                    r.step,
+                    model.feature_names[r.feature],
+                    r.threshold,
+                    r.direction,
+                    r.residue,
+                    r.scaled_residue,
+                ]
+                for i, records in enumerate(iter_decision_contributions(model, X))
+                for r in records
+            ),
         )
 
     if args.decision_space:
-        rows = []
-        for i, x in enumerate(X):
-            intervals = decision_space(model, x).intervals
-            for name in model.feature_names:
-                lo, hi = intervals[name]
-                rows.append([i, name, lo, hi])
         _write_csv(
-            args.decision_space, ["sample_index", "feature", "lower", "upper"], rows
+            args.decision_space,
+            ["sample_index", "feature", "lower", "upper"],
+            (
+                [i, name, *space.intervals[name]]
+                for i, space in enumerate(iter_decision_spaces(model, X))
+                for name in model.feature_names
+            ),
         )
 
     if args.check:
@@ -215,8 +213,7 @@ def cmd_verify(args) -> int:
     additive_ok, additive_detail = True, ""
     oracle_ok, oracle_detail = True, ""
     telescoping_ok, telescoping_detail = True, ""
-    for i, x in enumerate(X):
-        e = feature_contributions(model, x)
+    for i, (x, e) in enumerate(zip(X, batch_explain(model, X))):
         total = e.bias + sum(e.contributions[n] for n in model.feature_names)
         if additive_ok and abs(e.prediction - total) > RELATIVE_IDENTITY_TOLERANCE * max(
             1.0, abs(e.prediction)

@@ -248,7 +248,10 @@ def test_criterion_07_outlier_attribution(synthetic):
         )
         model = fit_gbdt(poisoned, OUTLIER_CONFIG.gbdt_params(seed))
         e = feature_contributions(model, sample.x_fake)
-        touched = {model.feature_names[r.feature] for r in e.records}
+        touched = {
+            model.feature_names[r.feature]
+            for r in decision_contributions(model, sample.x_fake)
+        }
         for name in model.feature_names:
             if name not in touched:
                 assert e.contributions[name] == 0.0

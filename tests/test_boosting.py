@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,17 +8,21 @@ from hypothesis import strategies as st
 
 from boostcontrib import (
     CartParams,
+    Dataset,
     GbdtParams,
     ModelFormatError,
     feature_importance,
     fit_gbdt,
     gbdt_predict,
     load_model,
+    make_outlier,
     node_split_gain,
     predict_batch,
     save_model,
+    train_test_split,
 )
-from conftest import D0_X, random_ensemble
+from boostcontrib.experiments import OUTLIER_CONFIG
+from conftest import D0_X, build_synthetic, random_ensemble
 
 
 def trees_equal(a, b) -> bool:
@@ -257,6 +262,31 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="feature 7 out of range"):
             load_model(path)
 
+    # d0_one_tree: root 0 splits into leaf 1 and node 2, which splits into
+    # leaves 3 and 4.
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda nodes: nodes[0].update(left=0), "node id 0 is reached twice"),
+            (lambda nodes: nodes[2].update(left=0), "node id 0 is reached twice"),
+            (lambda nodes: nodes[2].update(left=1), "node id 1 is reached twice"),
+            (
+                lambda nodes: nodes[2].update(
+                    feature=None, threshold=None, left=None, right=None
+                ),
+                "node id 3 is not reached",
+            ),
+            (lambda nodes: nodes[0].update(id=[0]), r"node id must be an integer, got \[0\]"),
+            (lambda nodes: nodes[0].update(id=True), "node id must be an integer"),
+            (lambda nodes: nodes[0].update(left=[1]), r"unknown node id \[1\]"),
+        ],
+        ids=["self-loop", "cycle", "shared-child", "orphan", "list-id", "bool-id", "list-child"],
+    )
+    def test_load_rejects_malformed_tree(self, d0_one_tree, tmp_path, mangle, message):
+        path = self._mangle(d0_one_tree, tmp_path, lambda p: mangle(p["trees"][0]["nodes"]))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
     def test_load_accepts_permuted_node_order(self, d0_one_tree, tmp_path):
         # ids are names, not positions: reversing the node list is harmless
         path = self._mangle(
@@ -265,3 +295,33 @@ class TestPersistence:
         loaded = load_model(path)
         for x, want in zip(D0_X, [0.0, 0.0, 10.0, 20.0]):
             assert gbdt_predict(loaded, x) == want
+
+
+class TestPinnedModels:
+    """Saved model bytes must not change when fitting code is reworked."""
+
+    @staticmethod
+    def saved_sha256(ens, tmp_path) -> str:
+        path = tmp_path / "m.json"
+        save_model(ens, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_hundred_depth4_trees(self, tmp_path):
+        ds = build_synthetic(n=2000, d=10, seed=0)
+        params = GbdtParams(n_estimators=100, cart=CartParams(max_depth=4), seed=0)
+        assert self.saved_sha256(fit_gbdt(ds, params), tmp_path) == (
+            "3fd052feb916747dd67352215dc1176f7335e0cdb5814c7bca218e8a3f49023b"
+        )
+
+    def test_depth15_outlier_fit(self, synthetic_500x8, tmp_path):
+        train, _ = train_test_split(synthetic_500x8, OUTLIER_CONFIG.test_fraction, 0)
+        sample = make_outlier(train, "x0")
+        poisoned = Dataset(
+            np.vstack([train.features, sample.x_fake]),
+            np.append(train.target, sample.y_fake),
+            train.feature_names,
+        )
+        model = fit_gbdt(poisoned, OUTLIER_CONFIG.gbdt_params(0))
+        assert self.saved_sha256(model, tmp_path) == (
+            "70da22a01f130208141b4b5499e0f6b4f5d1ccbca573f11f80debee05211e0f9"
+        )

@@ -173,6 +173,24 @@ class TestImportance:
         assert [r[0] for r in rows[1:]] == list(model.feature_names)
         assert [float(r[1]) for r in rows[1:]] == expected.tolist()
 
+    def test_cyclic_model_file_is_rejected(self, model_json, data_csv, tmp_path, capsys):
+        payload = json.loads(model_json.read_text())
+        payload["trees"][0]["nodes"][0]["left"] = payload["trees"][0]["root"]
+        bad = tmp_path / "cyclic.json"
+        bad.write_text(json.dumps(payload))
+        code = cli.main(["predict", "--model", str(bad), "--data", str(data_csv), "--target", "y"])
+        assert code == 3
+        assert "reached twice" in capsys.readouterr().err
+
+    def test_list_valued_node_id_is_rejected(self, model_json, data_csv, tmp_path, capsys):
+        payload = json.loads(model_json.read_text())
+        payload["trees"][0]["nodes"][0]["id"] = [0]
+        bad = tmp_path / "list_id.json"
+        bad.write_text(json.dumps(payload))
+        code = cli.main(["predict", "--model", str(bad), "--data", str(data_csv), "--target", "y"])
+        assert code == 3
+        assert "node id must be an integer" in capsys.readouterr().err
+
     def test_corrupt_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

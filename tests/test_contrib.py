@@ -108,11 +108,14 @@ class TestUntouchedFeatures:
         ens = fit_gbdt(ds, GbdtParams(n_estimators=3, cart=CartParams(max_depth=1), seed=0))
         e = feature_contributions(ens, np.array([0.3, -1.2]))
         assert e.contributions["decoy"] == 0.0
-        assert all(r.feature == 0 for r in e.records)
+        assert all(r.feature == 0 for r in decision_contributions(ens, np.array([0.3, -1.2])))
 
     def test_zero_iff_absent_from_records(self, d0_two_trees):
         e = feature_contributions(d0_two_trees, np.array([0.0, 1.0]))
-        touched = {d0_two_trees.feature_names[r.feature] for r in e.records}
+        touched = {
+            d0_two_trees.feature_names[r.feature]
+            for r in decision_contributions(d0_two_trees, np.array([0.0, 1.0]))
+        }
         for name, value in e.contributions.items():
             if name not in touched:
                 assert value == 0.0
