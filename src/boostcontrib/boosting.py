@@ -11,6 +11,8 @@ free for callers (the experiment runners use it).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,6 +109,10 @@ def _check_matrix(ens: Ensemble, X) -> np.ndarray:
         raise ValueError(
             f"expected shape (n, {ens.n_features}), got {X.shape}"
         )
+    # NaN compares false with every threshold and would route right unnoticed.
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} holds a non-finite value")
     return X
 
 
@@ -211,24 +217,27 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
 
     nodes = []
     for raw in raw_nodes:
+        value = _number(raw["value"], "node value")
+        n_samples = _number(raw["n_samples"], "node n_samples", int)
+        _require(n_samples >= 1, f"node n_samples must be positive, got {n_samples}")
         split_keys = (raw["feature"], raw["threshold"], raw["left"], raw["right"])
         if all(k is None for k in split_keys):
-            nodes.append(
-                TreeNode(value=float(raw["value"]), n_samples=int(raw["n_samples"]), sse=None)
-            )
+            nodes.append(TreeNode(value=value, n_samples=n_samples, sse=None))
             continue
         _require(
             all(k is not None for k in split_keys),
             "internal node needs feature, threshold, left and right; a leaf has none",
         )
-        feature = int(raw["feature"])
+        feature = _number(raw["feature"], "split feature", int)
         _require(0 <= feature < n_features, f"split feature {feature} out of range")
         nodes.append(
             TreeNode(
-                value=float(raw["value"]),
-                n_samples=int(raw["n_samples"]),
+                value=value,
+                n_samples=n_samples,
                 sse=None,
-                split=SplitDecision(feature=feature, threshold=float(raw["threshold"])),
+                split=SplitDecision(
+                    feature=feature, threshold=_number(raw["threshold"], "split threshold")
+                ),
                 left=child_pos(raw["left"]),
                 right=child_pos(raw["right"]),
             )
@@ -236,6 +245,21 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
     tree = Tree(nodes=nodes, root=child_pos(obj["root"]), n_features=n_features)
     _require_tree_shape(tree, [raw["id"] for raw in raw_nodes])
     return tree
+
+
+def _number(raw, what: str, kind: type = float):
+    """A finite JSON number of the given kind (float or int); no bool or string."""
+    accepted = (int, float) if kind is float else int
+    _require(
+        isinstance(raw, accepted) and not isinstance(raw, bool),
+        f"{what} must be {'a number' if kind is float else 'an integer'}, got {raw!r}",
+    )
+    if kind is float:
+        _require(
+            math.isfinite(raw) if isinstance(raw, float) else abs(raw) <= sys.float_info.max,
+            f"{what} must be finite, got {raw!r}",
+        )
+    return kind(raw)
 
 
 def _is_node_id(raw_id) -> bool:
@@ -280,10 +304,20 @@ def load_model(path) -> Ensemble:
         isinstance(names, list) and all(isinstance(n, str) for n in names),
         "feature_names must be a list of strings",
     )
+    _require(len(set(names)) == len(names), "feature_names must be unique")
+    f0 = _number(payload["f0"], "f0")
+    learning_rate = _number(payload["learning_rate"], "learning_rate")
+    _require(
+        0.0 < learning_rate <= 1.0, f"learning_rate must be in (0, 1], got {learning_rate!r}"
+    )
+    _require(
+        isinstance(payload["trees"], list) and payload["trees"],
+        "trees must be a non-empty list",
+    )
     trees = [_tree_from_dict(t, len(names)) for t in payload["trees"]]
     return Ensemble(
-        f0=float(payload["f0"]),
-        learning_rate=float(payload["learning_rate"]),
+        f0=f0,
+        learning_rate=learning_rate,
         trees=trees,
         feature_names=tuple(names),
         params=None,

@@ -9,8 +9,9 @@ or --check failures.
 from __future__ import annotations
 
 import argparse
-import csv
+import io
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .boosting import (
     save_model,
 )
 from .cart import CartParams, decision_path
-from .contrib import batch_explain, iter_decision_contributions, iter_decision_spaces
+from .contrib import batch_explain, iter_decision_spaces
 from .data import DataError, Dataset, load_csv, train_test_split
 from .experiments import (
     DEFAULT_NOISE_LEVELS,
@@ -35,6 +36,7 @@ from .experiments import (
     run_correlation_experiment,
     run_noise_experiment,
     run_outlier_experiment,
+    write_csv,
     write_report,
 )
 from .oracle import (
@@ -49,18 +51,78 @@ from .oracle import (
 RELATIVE_IDENTITY_TOLERANCE = 1e-9
 
 
-def _write_csv(path, header, rows) -> None:
-    def dump(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+RECORD_HEADER = [
+    "sample_index",
+    "tree_index",
+    "step",
+    "feature",
+    "threshold",
+    "direction",
+    "residue",
+    "scaled_residue",
+]
 
+
+@contextmanager
+def _output(path):
+    """The text file to write at path, or stdout when path is None."""
     if path is None:
-        dump(sys.stdout)
+        yield sys.stdout
     else:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            dump(fh)
+            yield fh
+
+
+def _write_csv(path, header, rows) -> None:
+    with _output(path) as fh:
+        write_csv(fh, header, rows)
+
+
+def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
+    """One line per traversed edge, in sample, tree, step order.
+
+    Everything after (sample, tree, step) depends only on the edge's child
+    node, so it is formatted once per node and reused by every row that
+    takes the edge. The lines are exactly what _write_csv would write for
+    the records of iter_decision_contributions.
+    """
+    flat = model.flat
+    names = []
+    for name in model.feature_names:
+        quoted = io.StringIO()
+        write_csv(quoted, [name], ())
+        names.append(quoted.getvalue()[:-1])
+    child = np.flatnonzero(flat.parent != np.arange(flat.parent.size))  # roots end no edge
+    edge_text = dict(
+        zip(
+            child.tolist(),
+            (
+                f"{names[f]},{format_cell(t)},{'left' if went_left else 'right'},"
+                f"{format_cell(r)},{format_cell(sr)}"
+                for f, t, went_left, r, sr in zip(*flat.edge_fields(child))
+            ),
+        )
+    )
+    with _output(path) as fh:
+        write_csv(fh, RECORD_HEADER, ())
+        for rows, ids in flat.paths(X):
+            row, tree, step, _parent, child = flat.edges(ids)
+            fh.writelines(
+                f"{i},{t},{s},{edge_text[c]}\n"
+                for i, t, s, c in zip(
+                    (row + rows.start).tolist(), tree.tolist(), step.tolist(), child.tolist()
+                )
+            )
+
+
+def _additivity_violation(explanations) -> str | None:
+    """The first sample whose bias + contributions misses its prediction by
+    more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|), or None."""
+    for i, e in enumerate(explanations):
+        total = e.bias + sum(e.contributions.values())
+        if abs(e.prediction - total) > RELATIVE_IDENTITY_TOLERANCE * max(1.0, abs(e.prediction)):
+            return f"sample {i}: prediction {e.prediction!r} vs decomposition {total!r}"
+    return None
 
 
 def _select_features(ds: Dataset, model: Ensemble) -> np.ndarray:
@@ -132,33 +194,7 @@ def cmd_explain(args) -> int:
     )
 
     if args.decision_records:
-        _write_csv(
-            args.decision_records,
-            [
-                "sample_index",
-                "tree_index",
-                "step",
-                "feature",
-                "threshold",
-                "direction",
-                "residue",
-                "scaled_residue",
-            ],
-            (
-                [
-                    i,
-                    r.tree_index,
-                    r.step,
-                    model.feature_names[r.feature],
-                    r.threshold,
-                    r.direction,
-                    r.residue,
-                    r.scaled_residue,
-                ]
-                for i, records in enumerate(iter_decision_contributions(model, X))
-                for r in records
-            ),
-        )
+        _write_decision_records(args.decision_records, model, X)
 
     if args.decision_space:
         _write_csv(
@@ -172,17 +208,10 @@ def cmd_explain(args) -> int:
         )
 
     if args.check:
-        for i, e in enumerate(explanations):
-            total = e.bias + sum(e.contributions[n] for n in model.feature_names)
-            if abs(e.prediction - total) > RELATIVE_IDENTITY_TOLERANCE * max(
-                1.0, abs(e.prediction)
-            ):
-                print(
-                    f"additivity violated at sample {i}: "
-                    f"prediction {e.prediction!r} vs decomposition {total!r}",
-                    file=sys.stderr,
-                )
-                return 4
+        violation = _additivity_violation(explanations)
+        if violation is not None:
+            print(f"additivity violated at {violation}", file=sys.stderr)
+            return 4
         print(f"additivity holds for all {len(explanations)} samples", file=sys.stderr)
     return 0
 
@@ -210,16 +239,11 @@ def cmd_verify(args) -> int:
         if not ok:
             failures.append(name)
 
-    additive_ok, additive_detail = True, ""
+    explanations = batch_explain(model, X)
+    additive_detail = _additivity_violation(explanations)
     oracle_ok, oracle_detail = True, ""
     telescoping_ok, telescoping_detail = True, ""
-    for i, (x, e) in enumerate(zip(X, batch_explain(model, X))):
-        total = e.bias + sum(e.contributions[n] for n in model.feature_names)
-        if additive_ok and abs(e.prediction - total) > RELATIVE_IDENTITY_TOLERANCE * max(
-            1.0, abs(e.prediction)
-        ):
-            additive_ok = False
-            additive_detail = f"sample {i}: {e.prediction!r} != {total!r}"
+    for i, (x, e) in enumerate(zip(X, explanations)):
         naive_bias, naive_contrib = naive_contributions(model, x)
         ours = np.array([e.contributions[n] for n in model.feature_names])
         if oracle_ok and not (
@@ -271,7 +295,7 @@ def cmd_verify(args) -> int:
             partition_detail = f"tree {t}: some probe hit != 1 leaf region"
             break
 
-    report("additive_identity", additive_ok, additive_detail)
+    report("additive_identity", additive_detail is None, additive_detail or "")
     report("telescoping", telescoping_ok, telescoping_detail)
     report("node_means", node_means_ok, node_means_detail)
     report("oracle_equivalence", oracle_ok, oracle_detail)

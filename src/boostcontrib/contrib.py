@@ -111,27 +111,18 @@ def feature_contributions(ens: Ensemble, x) -> Explanation:
 def iter_decision_contributions(ens: Ensemble, data) -> Iterator[list[DecisionRecord]]:
     """decision_contributions for every row, yielded one row at a time."""
     flat = ens.flat
-    value, residue = flat.value.tolist(), flat.residue.tolist()
-    feature, threshold, left = flat.feature.tolist(), flat.threshold.tolist(), flat.left.tolist()
     for _rows, ids in flat.paths(_features(ens, data)):
-        for row in ids.transpose(2, 0, 1).tolist():
-            records = []
-            for tree_index, path in enumerate(row):
-                for step, (parent, child) in enumerate(zip(path, path[1:])):
-                    if parent == child:
-                        break
-                    records.append(
-                        DecisionRecord(
-                            tree_index=tree_index,
-                            step=step,
-                            feature=feature[parent],
-                            threshold=threshold[parent],
-                            direction="left" if child == left[parent] else "right",
-                            residue=value[child] - value[parent],
-                            scaled_residue=residue[child],
-                        )
-                    )
-            yield records
+        row, tree, step, _parent, child = flat.edges(ids)
+        records = [
+            DecisionRecord(t, s, feature, threshold, "left" if went_left else "right", r, sr)
+            for t, s, (feature, threshold, went_left, r, sr) in zip(
+                tree.tolist(), step.tolist(), zip(*flat.edge_fields(child))
+            )
+        ]
+        start = 0
+        for end in np.cumsum(np.bincount(row, minlength=ids.shape[2])).tolist():
+            yield records[start:end]
+            start = end
 
 
 def decision_contributions(ens: Ensemble, x) -> list[DecisionRecord]:
@@ -145,16 +136,13 @@ def iter_decision_spaces(ens: Ensemble, data) -> Iterator[DecisionSpace]:
     d = ens.n_features
     for _rows, ids in flat.paths(_features(ens, data)):
         n = ids.shape[2]
-        parent, child = ids[:, :-1], ids[:, 1:]
-        bins = (flat.feature.take(parent) + np.arange(n) * d).ravel()
-        parent, child = parent.ravel(), child.ravel()
-        moved = parent != child
-        went_left = moved & (child == flat.left[parent])
-        went_right = moved & ~went_left
+        row, _tree, _step, parent, child = flat.edges(ids)
+        bins = flat.feature[parent] + row * d
+        went_left = child == flat.left[parent]
         lower = np.full(n * d, -np.inf)
         upper = np.full(n * d, np.inf)
         np.minimum.at(upper, bins[went_left], flat.threshold[parent[went_left]])
-        np.maximum.at(lower, bins[went_right], flat.threshold[parent[went_right]])
+        np.maximum.at(lower, bins[~went_left], flat.threshold[parent[~went_left]])
         for lo, hi in zip(lower.reshape(n, d).tolist(), upper.reshape(n, d).tolist()):
             yield DecisionSpace(intervals=dict(zip(ens.feature_names, zip(lo, hi))))
 

@@ -335,6 +335,13 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def write_csv(fh, header, rows) -> None:
+    """Write a header line, then one line per row with cells via format_cell."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(v) for v in row] for row in rows)
+
+
 def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     """Write <name>.csv and <name>_metadata.json; returns both paths.
 
@@ -345,10 +352,7 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{report.name}.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([format_cell(v) for v in row])
+        write_csv(fh, report.columns, report.rows)
     meta_path = out / f"{report.name}_metadata.json"
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(report.metadata, fh, indent=2, sort_keys=True)

@@ -9,8 +9,8 @@ visited node ids:
 * the leaf sum, added tree by tree, which predictions are built on;
 * per-feature contributions, the scaled residues of the visited edges
   credited to the feature tested at each edge's parent;
-* the path itself, from which decision records and decision spaces are
-  read.
+* the traversed edges, listed once by :meth:`FlatForest.edges`, from
+  which decision records and decision spaces are read.
 
 Summation order is part of the contract (see :mod:`boostcontrib.contrib`):
 both sums are taken with ``np.bincount``, which adds its weights into each
@@ -41,7 +41,8 @@ class FlatForest:
     """Trees compiled into flat per-node arrays; read-only once built.
 
     Leaves carry feature 0 and point both children at themselves, so a
-    row that has reached its leaf stays there on later levels.
+    row that has reached its leaf stays there on later levels. Roots are
+    their own parents.
     """
 
     def __init__(self, trees: list[Tree], learning_rate: float):
@@ -67,8 +68,10 @@ class FlatForest:
             offset += len(tree.nodes)
 
         internal = np.flatnonzero(self.left != np.arange(total))
+        self.parent = np.arange(total, dtype=np.intp)
         self.residue = np.zeros(total, dtype=np.float64)
         for child in (self.left[internal], self.right[internal]):
+            self.parent[child] = internal
             self.residue[child] = learning_rate * (self.value[child] - self.value[internal])
 
         # Levels below the roots, walked for all trees at once. No level of a
@@ -111,6 +114,35 @@ class FlatForest:
                 nodes = np.where(go_left, self.left.take(nodes), self.right.take(nodes))
                 ids[:, step] = nodes
             yield rows, ids
+
+    @staticmethod
+    def edges(ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The traversed edges of one block of paths from :meth:`paths`.
+
+        Returns arrays (row, tree, step, parent, child), one entry per edge,
+        ordered by row, then tree, then step; rows count from the block's
+        first row. A step whose node equals the previous one is a row
+        resting at its leaf, not an edge.
+        """
+        parent, child = ids[:, :-1], ids[:, 1:]
+        row, tree, step = np.nonzero((parent != child).transpose(2, 0, 1))
+        return row, tree, step, parent[tree, step, row], child[tree, step, row]
+
+    def edge_fields(self, child: np.ndarray) -> tuple[list, ...]:
+        """What a decision record says of the edges into the nodes `child`.
+
+        Returns lists (feature, threshold, went_left, residue,
+        scaled_residue): the parent's split, whether the child is its left
+        one, value[child] - value[parent] and the scaled residue.
+        """
+        parent = self.parent[child]
+        return (
+            self.feature[parent].tolist(),
+            self.threshold[parent].tolist(),
+            (self.left[parent] == child).tolist(),
+            (self.value[child] - self.value[parent]).tolist(),
+            self.residue[child].tolist(),
+        )
 
     def leaf_sum(self, ids: np.ndarray) -> np.ndarray:
         """Per row, the leaf values of all trees added in tree order."""

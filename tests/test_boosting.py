@@ -11,6 +11,8 @@ from boostcontrib import (
     Dataset,
     GbdtParams,
     ModelFormatError,
+    batch_explain,
+    feature_contributions,
     feature_importance,
     fit_gbdt,
     gbdt_predict,
@@ -117,6 +119,17 @@ class TestPredict:
     def test_wrong_dimension(self, d0_two_trees):
         with pytest.raises(ValueError, match="2 features"):
             gbdt_predict(d0_two_trees, np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "api, row",
+        [(predict_batch, 2), (batch_explain, 2), (gbdt_predict, 0), (feature_contributions, 0)],
+    )
+    def test_non_finite_input_is_rejected(self, d0_two_trees, api, row, bad):
+        X = D0_X.copy()
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match=f"row {row} holds a non-finite value"):
+            api(d0_two_trees, X if row else X[2])
 
 
 class TestParams:
@@ -279,11 +292,52 @@ class TestPersistence:
             (lambda nodes: nodes[0].update(id=[0]), r"node id must be an integer, got \[0\]"),
             (lambda nodes: nodes[0].update(id=True), "node id must be an integer"),
             (lambda nodes: nodes[0].update(left=[1]), r"unknown node id \[1\]"),
+            (lambda nodes: nodes[1].update(value=[1]), r"node value must be a number, got \[1\]"),
+            (lambda nodes: nodes[1].update(value="1.5"), "node value must be a number"),
+            (lambda nodes: nodes[1].update(value=float("nan")), "node value must be finite"),
+            (lambda nodes: nodes[0].update(threshold=[0.5]), "split threshold must be a number"),
+            (
+                lambda nodes: nodes[0].update(threshold=float("-inf")),
+                "split threshold must be finite",
+            ),
+            (lambda nodes: nodes[1].update(n_samples=[2]), "node n_samples must be an integer"),
+            (lambda nodes: nodes[1].update(n_samples=True), "node n_samples must be an integer"),
+            (lambda nodes: nodes[1].update(n_samples=0), "node n_samples must be positive"),
+            (lambda nodes: nodes[0].update(feature=[0]), "split feature must be an integer"),
+            (lambda nodes: nodes[0].update(feature=0.0), "split feature must be an integer"),
         ],
-        ids=["self-loop", "cycle", "shared-child", "orphan", "list-id", "bool-id", "list-child"],
+        ids=[
+            "self-loop", "cycle", "shared-child", "orphan", "list-id", "bool-id", "list-child",
+            "list-value", "string-value", "nan-value", "list-threshold", "inf-threshold",
+            "list-n_samples", "bool-n_samples", "zero-n_samples", "list-feature", "float-feature",
+        ],
     )
     def test_load_rejects_malformed_tree(self, d0_one_tree, tmp_path, mangle, message):
         path = self._mangle(d0_one_tree, tmp_path, lambda p: mangle(p["trees"][0]["nodes"]))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda p: p.update(f0=float("nan")), "f0 must be finite"),
+            (lambda p: p.update(f0=10**400), "f0 must be finite"),
+            (lambda p: p.update(f0=True), "f0 must be a number"),
+            (lambda p: p.update(learning_rate="0.1"), "learning_rate must be a number"),
+            (lambda p: p.update(learning_rate=float("nan")), "learning_rate must be finite"),
+            (lambda p: p.update(learning_rate=0.0), r"learning_rate must be in \(0, 1\]"),
+            (lambda p: p.update(learning_rate=1.5), r"learning_rate must be in \(0, 1\]"),
+            (lambda p: p.update(feature_names=["f0", "f0"]), "feature_names must be unique"),
+            (lambda p: p.update(trees=[]), "trees must be a non-empty list"),
+            (lambda p: p.update(trees={}), "trees must be a non-empty list"),
+        ],
+        ids=[
+            "nan-f0", "huge-f0", "bool-f0", "string-rate", "nan-rate", "zero-rate",
+            "rate-above-one", "duplicate-names", "no-trees", "trees-object",
+        ],
+    )
+    def test_load_rejects_malformed_payload(self, d0_one_tree, tmp_path, mangle, message):
+        path = self._mangle(d0_one_tree, tmp_path, mangle)
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 

@@ -1,10 +1,18 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from boostcontrib import cli, feature_importance, load_model, predict_batch
+from boostcontrib import (
+    cli,
+    decision_contributions,
+    feature_importance,
+    load_csv,
+    load_model,
+    predict_batch,
+)
 from conftest import build_synthetic
 
 
@@ -96,8 +104,6 @@ class TestPredict:
         rows = read_csv(out)
         assert rows[0] == ["sample_index", "prediction"]
         model = load_model(model_json)
-        from boostcontrib import load_csv
-
         ds = load_csv(data_csv, "y")
         expected = predict_batch(model, ds.features)
         got = np.array([float(r[1]) for r in rows[1:]])
@@ -138,8 +144,14 @@ class TestExplain:
             "sample_index", "tree_index", "step", "feature",
             "threshold", "direction", "residue", "scaled_residue",
         ]
-        assert all(r[5] in ("left", "right") for r in rows[1:])
-        assert {r[3] for r in rows[1:]} <= {"x0", "x1", "x2"}
+        model = load_model(model_json)
+        expected = [
+            [str(i), str(r.tree_index), str(r.step), model.feature_names[r.feature],
+             repr(r.threshold), r.direction, repr(r.residue), repr(r.scaled_residue)]
+            for i, x in enumerate(load_csv(data_csv, "y").features)
+            for r in decision_contributions(model, x)
+        ]
+        assert rows[1:] == expected
 
     def test_decision_space_dump(self, data_csv, model_json, tmp_path):
         space_path = tmp_path / "space.csv"
@@ -152,6 +164,34 @@ class TestExplain:
         assert rows[0] == ["sample_index", "feature", "lower", "upper"]
         for _, _, lower, upper in rows[1:]:
             assert float(lower) < float(upper)
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        # Feature names that need CSV quoting; pins recorded before the
+        # explain writers were reworked.
+        ds = build_synthetic(n=60, d=3, seed=4)
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["a,b", 'q"t', "z", "y"])
+            for x, y in zip(ds.features, ds.target):
+                writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
+        model = tmp_path / "model.json"
+        assert cli.main([
+            "train", "--data", str(data), "--target", "y", "--no-split",
+            "--n-estimators", "6", "--max-depth", "3", "--model-out", str(model),
+        ]) == 0
+        outputs = {flag: tmp_path / f"{flag[2:]}.csv"
+                   for flag in ("--out", "--decision-records", "--decision-space")}
+        assert cli.main([
+            "explain", "--model", str(model), "--data", str(data), "--target", "y",
+            *(arg for flag, path in outputs.items() for arg in (flag, str(path))),
+        ]) == 0
+        assert {flag: hashlib.sha256(path.read_bytes()).hexdigest()
+                for flag, path in outputs.items()} == {
+            "--out": "7fa18d9f8d5e586060f16e1a58ec1020d4855e31f48608167e2651e203aa168d",
+            "--decision-records": "cbb7d8a88bc274a1362d9797444501e8c7d4b52848b9327262d7d866afc96fad",
+            "--decision-space": "360eb8cd97904b63b86d5514a3ea7cd705790f3f84d9a2a5e6dcb51d7ee1cd1b",
+        }
 
     def test_missing_feature_column_is_a_data_error(self, model_json, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -190,6 +230,14 @@ class TestImportance:
         code = cli.main(["predict", "--model", str(bad), "--data", str(data_csv), "--target", "y"])
         assert code == 3
         assert "node id must be an integer" in capsys.readouterr().err
+
+    def test_list_valued_node_value_is_rejected(self, model_json, tmp_path, capsys):
+        payload = json.loads(model_json.read_text())
+        payload["trees"][0]["nodes"][1]["value"] = [1]
+        bad = tmp_path / "list_value.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["importance", "--model", str(bad)]) == 3
+        assert "node value must be a number" in capsys.readouterr().err
 
     def test_corrupt_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
