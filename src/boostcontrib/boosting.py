@@ -18,7 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .cart import CartParams, SplitDecision, Tree, TreeNode, fit_cart
+from .cart import (
+    CartParams,
+    SplitDecision,
+    Tree,
+    TreeNode,
+    _check_matrix,
+    _check_vector,
+    fit_cart,
+)
 from .data import Dataset
 from .kernel import FlatForest
 
@@ -92,28 +100,6 @@ def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
         feature_names=ds.feature_names,
         params=params,
     )
-
-
-def _check_vector(ens: Ensemble, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ens.n_features,):
-        raise ValueError(
-            f"expected a vector of {ens.n_features} features, got shape {x.shape}"
-        )
-    return x
-
-
-def _check_matrix(ens: Ensemble, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != ens.n_features:
-        raise ValueError(
-            f"expected shape (n, {ens.n_features}), got {X.shape}"
-        )
-    # NaN compares false with every threshold and would route right unnoticed.
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"row {int(np.argmin(finite))} holds a non-finite value")
-    return X
 
 
 def gbdt_predict(ens: Ensemble, x) -> float:
@@ -222,7 +208,7 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
         _require(n_samples >= 1, f"node n_samples must be positive, got {n_samples}")
         split_keys = (raw["feature"], raw["threshold"], raw["left"], raw["right"])
         if all(k is None for k in split_keys):
-            nodes.append(TreeNode(value=value, n_samples=n_samples, sse=None))
+            nodes.append(TreeNode(value=value, n_samples=n_samples))
             continue
         _require(
             all(k is not None for k in split_keys),
@@ -234,7 +220,6 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
             TreeNode(
                 value=value,
                 n_samples=n_samples,
-                sse=None,
                 split=SplitDecision(
                     feature=feature, threshold=_number(raw["threshold"], "split threshold")
                 ),
@@ -248,17 +233,18 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
 
 
 def _number(raw, what: str, kind: type = float):
-    """A finite JSON number of the given kind (float or int); no bool or string."""
+    """A JSON number of the given kind (float or int), no bool or string, that
+    converts to a finite float: an integer beyond that would overflow when
+    multiplied with a float."""
     accepted = (int, float) if kind is float else int
     _require(
         isinstance(raw, accepted) and not isinstance(raw, bool),
         f"{what} must be {'a number' if kind is float else 'an integer'}, got {raw!r}",
     )
-    if kind is float:
-        _require(
-            math.isfinite(raw) if isinstance(raw, float) else abs(raw) <= sys.float_info.max,
-            f"{what} must be finite, got {raw!r}",
-        )
+    _require(
+        math.isfinite(raw) if isinstance(raw, float) else abs(raw) <= sys.float_info.max,
+        f"{what} must be finite, got {raw!r}",
+    )
     return kind(raw)
 
 
@@ -268,7 +254,8 @@ def _is_node_id(raw_id) -> bool:
 
 def _require_tree_shape(tree: Tree, ids: list[int]) -> None:
     """Every node is reached from the root exactly once: no cycle, no
-    shared subtree, no orphan. Traversal relies on this to terminate."""
+    shared subtree, no orphan. Traversal relies on this to terminate.
+    Each internal node's n_samples is the sum of its children's."""
     reached = [False] * len(tree.nodes)
     stack = [tree.root]
     while stack:
@@ -280,6 +267,14 @@ def _require_tree_shape(tree: Tree, ids: list[int]) -> None:
             stack += (node.right, node.left)
     if not all(reached):
         raise ModelFormatError(f"node id {ids[reached.index(False)]} is not reached from the root")
+    for node_id, node in enumerate(tree.nodes):
+        if node.split is not None:
+            left, right = tree.nodes[node.left].n_samples, tree.nodes[node.right].n_samples
+            _require(
+                node.n_samples == left + right,
+                f"node id {ids[node_id]}: n_samples {node.n_samples} is not the sum of "
+                f"its children's ({left} + {right})",
+            )
 
 
 def load_model(path) -> Ensemble:

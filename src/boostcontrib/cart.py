@@ -34,22 +34,13 @@ class SplitDecision:
 
 @dataclass
 class TreeNode:
-    """One arena entry.
-
-    `sse` is the sum of squared target deviations around `value`, known
-    only for trees produced by fitting; deserialized trees carry None.
-    A node is a leaf iff `split` is None iff both children are None.
-    """
+    """One arena entry; a leaf iff `split` is None iff both children are None."""
 
     value: float
     n_samples: int
-    sse: float | None
     split: SplitDecision | None = None
     left: int | None = None
     right: int | None = None
-
-    def is_leaf(self) -> bool:
-        return self.split is None
 
 
 @dataclass(frozen=True)
@@ -83,9 +74,6 @@ class Tree:
     nodes: list[TreeNode] = field(default_factory=list)
     root: int = 0
     n_features: int = 0
-
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
 
 
 def best_split(
@@ -169,10 +157,8 @@ def fit_cart(
     tree = Tree(nodes=[], root=0, n_features=X.shape[1])
 
     def build(X_node: np.ndarray, y_node: np.ndarray, depth: int) -> int:
-        value = float(np.mean(y_node))
-        sse = float(((y_node - value) ** 2).sum())
         node_id = len(tree.nodes)
-        tree.nodes.append(TreeNode(value=value, n_samples=y_node.shape[0], sse=sse))
+        tree.nodes.append(TreeNode(value=float(np.mean(y_node)), n_samples=y_node.shape[0]))
         if depth >= params.max_depth or y_node.shape[0] < params.min_samples_split:
             return node_id
         found = best_split(
@@ -198,13 +184,29 @@ def fit_cart(
     return tree
 
 
-def _check_vector(tree: Tree, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.n_features,):
+def _check_matrix(owner, X) -> np.ndarray:
+    """X as an (n, owner.n_features) float array of finite values; owner is
+    a Tree or an Ensemble."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != owner.n_features:
         raise ValueError(
-            f"expected a vector of {tree.n_features} features, got shape {x.shape}"
+            f"expected shape (n, {owner.n_features}), got {X.shape}"
         )
-    return x
+    # NaN compares false with every threshold and would route right unnoticed.
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} holds a non-finite value")
+    return X
+
+
+def _check_vector(owner, x) -> np.ndarray:
+    """x as one row of owner.n_features finite floats, checked as a batch of one."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (owner.n_features,):
+        raise ValueError(
+            f"expected a vector of {owner.n_features} features, got shape {x.shape}"
+        )
+    return _check_matrix(owner, x[None])[0]
 
 
 def decision_path(tree: Tree, x) -> list[int]:

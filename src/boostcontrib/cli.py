@@ -25,7 +25,7 @@ from .boosting import (
     predict_batch,
     save_model,
 )
-from .cart import CartParams, decision_path
+from .cart import CartParams
 from .contrib import batch_explain, iter_decision_spaces
 from .data import DataError, Dataset, load_csv, train_test_split
 from .experiments import (
@@ -227,82 +227,73 @@ def cmd_importance(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    model = load_model(args.model)
-    ds = load_csv(args.data, args.target)
-    X = _select_features(ds, model)
+def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
+    """The first sample, then tree, whose root value plus the differences
+    along its path misses its leaf value by more than 1e-12 relative."""
+    for rows, ids in model.flat.paths(X):
+        values = model.flat.value.take(ids)
+        root, leaf = values[:, 0], values[:, -1]
+        walked = root.copy()
+        for step in range(1, values.shape[1]):
+            walked += values[:, step] - values[:, step - 1]  # 0.0 once the row is at its leaf
+        scale = np.maximum(1.0, np.maximum(np.abs(root), np.abs(leaf)))
+        failed = np.argwhere((np.abs(walked - leaf) > 1e-12 * scale).T)
+        if failed.size:
+            return f"sample {rows.start + failed[0, 0]}, tree {failed[0, 1]}"
+    return None
 
-    failures: list[str] = []
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        print(f"{name}: ok" if ok else f"{name}: FAIL{' — ' + detail if detail else ''}")
-        if not ok:
-            failures.append(name)
-
-    explanations = batch_explain(model, X)
-    additive_detail = _additivity_violation(explanations)
-    oracle_ok, oracle_detail = True, ""
-    telescoping_ok, telescoping_detail = True, ""
-    for i, (x, e) in enumerate(zip(X, explanations)):
-        naive_bias, naive_contrib = naive_contributions(model, x)
-        ours = np.array([e.contributions[n] for n in model.feature_names])
-        if oracle_ok and not (
-            naive_bias == e.bias and np.array_equal(naive_contrib, ours)
-        ):
-            oracle_ok = False
-            oracle_detail = f"sample {i} disagrees with recursive-descent recount"
-        for t, tree in enumerate(model.trees):
-            path = decision_path(tree, x)
-            root_v = tree.nodes[path[0]].value
-            leaf_v = tree.nodes[path[-1]].value
-            walked = root_v
-            for a, b in zip(path, path[1:]):
-                walked += tree.nodes[b].value - tree.nodes[a].value
-            if telescoping_ok and abs(walked - leaf_v) > 1e-12 * max(
-                1.0, abs(root_v), abs(leaf_v)
-            ):
-                telescoping_ok = False
-                telescoping_detail = f"sample {i}, tree {t}"
-
-    node_means_ok, node_means_detail = True, ""
+def _node_mean_violation(model: Ensemble) -> str | None:
+    """The first internal node whose value is not its children's weighted mean."""
     for t, tree in enumerate(model.trees):
         for node_id, node in enumerate(tree.nodes):
             if node.split is None:
                 continue
             left, right = tree.nodes[node.left], tree.nodes[node.right]
-            if node.n_samples != left.n_samples + right.n_samples:
-                node_means_ok = False
-                node_means_detail = f"tree {t} node {node_id}: sample counts do not add up"
-                break
-            merged = (
-                left.n_samples * left.value + right.n_samples * right.value
-            ) / node.n_samples
+            merged = (left.n_samples * left.value + right.n_samples * right.value) / node.n_samples
             if abs(merged - node.value) > 1e-9 * max(1.0, abs(node.value)):
-                node_means_ok = False
-                node_means_detail = (
+                return (
                     f"tree {t} node {node_id}: value {node.value!r} is not the "
                     f"weighted mean of its children ({merged!r})"
                 )
-                break
-        if not node_means_ok:
-            break
+    return None
 
-    probes = sample_probes(X, args.probes, args.probe_seed)
-    partition_ok, partition_detail = True, ""
+
+def _oracle_disagreement(model: Ensemble, X: np.ndarray, explanations) -> str | None:
+    """The first sample whose bias or contributions differ from the oracle's."""
+    for i, (x, e) in enumerate(zip(X, explanations)):
+        bias, contributions = naive_contributions(model, x)
+        ours = [e.contributions[n] for n in model.feature_names]
+        if not (bias == e.bias and np.array_equal(contributions, ours)):
+            return f"sample {i} disagrees with recursive-descent recount"
+    return None
+
+
+def _partition_violation(model: Ensemble, probes: np.ndarray) -> str | None:
+    """The first tree whose leaf regions do not hold every probe exactly once."""
     for t, tree in enumerate(model.trees):
         if not check_partition(enumerate_leaf_regions(tree), probes):
-            partition_ok = False
-            partition_detail = f"tree {t}: some probe hit != 1 leaf region"
-            break
+            return f"tree {t}: some probe hit != 1 leaf region"
+    return None
 
-    report("additive_identity", additive_detail is None, additive_detail or "")
-    report("telescoping", telescoping_ok, telescoping_detail)
-    report("node_means", node_means_ok, node_means_detail)
-    report("oracle_equivalence", oracle_ok, oracle_detail)
-    report("leaf_partition", partition_ok, partition_detail)
 
-    if failures:
-        print(f"verification failed: {failures[0]}", file=sys.stderr)
+def cmd_verify(args) -> int:
+    model = load_model(args.model)
+    X = _select_features(load_csv(args.data, args.target), model)
+    explanations = batch_explain(model, X)
+    probes = sample_probes(X, args.probes, args.probe_seed)
+    checks = [
+        ("additive_identity", _additivity_violation(explanations)),
+        ("telescoping", _telescoping_violation(model, X)),
+        ("node_means", _node_mean_violation(model)),
+        ("oracle_equivalence", _oracle_disagreement(model, X, explanations)),
+        ("leaf_partition", _partition_violation(model, probes)),
+    ]
+    for name, detail in checks:
+        print(f"{name}: ok" if detail is None else f"{name}: FAIL — {detail}")
+    failed = [name for name, detail in checks if detail is not None]
+    if failed:
+        print(f"verification failed: {failed[0]}", file=sys.stderr)
         return 4
     print("all checks passed")
     return 0

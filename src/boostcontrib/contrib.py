@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import Ensemble, _check_matrix, _check_vector
+from .boosting import Ensemble
+from .cart import _check_matrix, _check_vector
 from .data import Dataset
 
 

@@ -197,7 +197,6 @@ class TestPersistence:
         save_model(d0_one_tree, path)
         loaded = load_model(path)
         assert loaded.params is None
-        assert all(n.sse is None for t in loaded.trees for n in t.nodes)
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=25, deadline=None)
@@ -303,13 +302,19 @@ class TestPersistence:
             (lambda nodes: nodes[1].update(n_samples=[2]), "node n_samples must be an integer"),
             (lambda nodes: nodes[1].update(n_samples=True), "node n_samples must be an integer"),
             (lambda nodes: nodes[1].update(n_samples=0), "node n_samples must be positive"),
+            (lambda nodes: nodes[1].update(n_samples=10**400), "node n_samples must be finite"),
             (lambda nodes: nodes[0].update(feature=[0]), "split feature must be an integer"),
             (lambda nodes: nodes[0].update(feature=0.0), "split feature must be an integer"),
+            (
+                lambda nodes: nodes[0].update(n_samples=5),
+                r"n_samples 5 is not the sum of its children's \(2 \+ 2\)",
+            ),
         ],
         ids=[
             "self-loop", "cycle", "shared-child", "orphan", "list-id", "bool-id", "list-child",
             "list-value", "string-value", "nan-value", "list-threshold", "inf-threshold",
-            "list-n_samples", "bool-n_samples", "zero-n_samples", "list-feature", "float-feature",
+            "list-n_samples", "bool-n_samples", "zero-n_samples", "huge-n_samples", "list-feature",
+            "float-feature", "unbalanced-n_samples",
         ],
     )
     def test_load_rejects_malformed_tree(self, d0_one_tree, tmp_path, mangle, message):

@@ -85,13 +85,13 @@ class TestFitCart:
     def test_d0_structure(self, d0_dataset):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())
         root = tree.nodes[0]
-        assert (root.value, root.n_samples, root.sse) == (7.5, 4, 275.0)
+        assert (root.value, root.n_samples) == (7.5, 4)
         assert root.split.feature == 0 and root.split.threshold == 0.5
         left = tree.nodes[root.left]
-        assert (left.value, left.n_samples, left.sse) == (0.0, 2, 0.0)
-        assert left.is_leaf()
+        assert (left.value, left.n_samples) == (0.0, 2)
+        assert left.split is None
         right = tree.nodes[root.right]
-        assert (right.value, right.n_samples, right.sse) == (15.0, 2, 50.0)
+        assert (right.value, right.n_samples) == (15.0, 2)
         assert right.split.feature == 1 and right.split.threshold == 0.5
         assert tree.nodes[right.left].value == 10.0
         assert tree.nodes[right.right].value == 20.0
@@ -106,7 +106,7 @@ class TestFitCart:
     def test_depth_one_is_a_stump(self):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=1), rng_of())
         assert len(tree.nodes) == 3
-        assert tree.nodes[1].is_leaf() and tree.nodes[2].is_leaf()
+        assert tree.nodes[1].split is None and tree.nodes[2].split is None
 
     def test_single_sample_gives_single_leaf(self):
         tree = fit_cart(np.array([[3.0]]), np.array([7.0]), CartParams(max_depth=4), rng_of())
@@ -116,7 +116,7 @@ class TestFitCart:
     def test_min_samples_split_stops_growth(self):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=5, min_samples_split=3), rng_of())
         # the 2-row children of the root may not split again
-        assert tree.nodes[tree.nodes[0].right].is_leaf()
+        assert tree.nodes[tree.nodes[0].right].split is None
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="matching n"):
@@ -132,7 +132,7 @@ class TestFitCart:
         y = rng.normal(size=n)
         tree = fit_cart(X, y, CartParams(max_depth=max_depth), rng_of(seed + 1))
 
-        # every node's value/n_samples/sse match the rows routed to it,
+        # every node's value/n_samples match the rows routed to it,
         # and no leaf sits deeper than max_depth
         rows = {0: np.arange(n)}
         depth = {0: 0}
@@ -140,10 +140,7 @@ class TestFitCart:
             idx = rows[node_id]
             assert node.n_samples == len(idx)
             assert node.value == pytest.approx(float(y[idx].mean()), rel=1e-12, abs=1e-12)
-            assert node.sse == pytest.approx(
-                float(((y[idx] - y[idx].mean()) ** 2).sum()), rel=1e-9, abs=1e-9
-            )
-            if node.is_leaf():
+            if node.split is None:
                 assert depth[node_id] <= max_depth
                 continue
             mask = X[idx, node.split.feature] <= node.split.threshold
@@ -164,7 +161,7 @@ class TestTraversal:
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())
         path = decision_path(tree, np.array([1.0, 1.0]))
         assert path[0] == tree.root
-        assert tree.nodes[path[-1]].is_leaf()
+        assert tree.nodes[path[-1]].split is None
         for parent_id, child_id in zip(path, path[1:]):
             parent = tree.nodes[parent_id]
             assert child_id in (parent.left, parent.right)
@@ -179,3 +176,11 @@ class TestTraversal:
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())
         with pytest.raises(ValueError, match="2 features"):
             decision_path(tree, np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("walk", [decision_path, tree_predict])
+    def test_non_finite_input_raises(self, walk, bad):
+        # NaN fails every <= test and would otherwise route right unnoticed.
+        tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())
+        with pytest.raises(ValueError, match="non-finite"):
+            walk(tree, np.array([bad, 0.0]))

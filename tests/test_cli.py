@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boostcontrib import (
+    ModelFormatError,
     cli,
     decision_contributions,
     feature_importance,
+    kernel,
     load_csv,
     load_model,
     predict_batch,
@@ -239,6 +243,17 @@ class TestImportance:
         assert cli.main(["importance", "--model", str(bad)]) == 3
         assert "node value must be a number" in capsys.readouterr().err
 
+    def test_node_counts_that_do_not_add_up_are_rejected(
+        self, model_json, data_csv, tmp_path, capsys
+    ):
+        payload = json.loads(model_json.read_text())
+        payload["trees"][0]["nodes"][0]["n_samples"] += 1
+        bad = tmp_path / "counts.json"
+        bad.write_text(json.dumps(payload))
+        code = cli.main(["verify", "--model", str(bad), "--data", str(data_csv), "--target", "y"])
+        assert code == 3
+        assert "is not the sum of its children's" in capsys.readouterr().err
+
     def test_corrupt_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -246,7 +261,71 @@ class TestImportance:
         capsys.readouterr()
 
 
+def _leaf(node_id, value, n_samples):
+    return {"id": node_id, "value": value, "n_samples": n_samples,
+            "feature": None, "threshold": None, "left": None, "right": None}
+
+
+def _split(node_id, value, n_samples, feature, threshold, left, right):
+    return {"id": node_id, "value": value, "n_samples": n_samples,
+            "feature": feature, "threshold": threshold, "left": left, "right": right}
+
+
+# Two trees whose node counts add up. Tree 1 nests a 1e20 node under its
+# root, listed third, so rows with a > 0.5 lose their leaf value to
+# cancellation when the residues are added up: the identity, telescoping
+# and node means fail there, while the oracle recount, which adds the same
+# residues in the same order, and the leaf regions still agree.
+CANCELLING_MODEL = {
+    "format_version": 1, "f0": 0.5, "learning_rate": 0.5, "feature_names": ["a", "b"],
+    "trees": [
+        {"root": 0, "nodes": [_split(0, 0.5, 4, 1, 0.5, 1, 2), _leaf(1, 0.0, 2), _leaf(2, 1.0, 2)]},
+        {"root": 0, "nodes": [_leaf(1, 0.0, 2), _leaf(3, 1.0, 1), _split(0, 0.0, 4, 0, 0.5, 1, 2),
+                              _split(2, 1e20, 2, 1, 0.5, 3, 4), _leaf(4, 3.0, 1)]},
+    ],
+}
+
+
 class TestVerify:
+    # Exit code, stdout and stderr recorded before verify's checks were
+    # rebuilt on the traversal kernel.
+    def test_output_is_pinned_on_a_fitted_model(self, data_csv, model_json, capsys):
+        code = cli.main([
+            "verify", "--model", str(model_json), "--data", str(data_csv),
+            "--target", "y", "--probes", "200",
+        ])
+        assert (code, *capsys.readouterr()) == (
+            0,
+            "additive_identity: ok\ntelescoping: ok\nnode_means: ok\n"
+            "oracle_equivalence: ok\nleaf_partition: ok\nall checks passed\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("block_node_ids", [kernel.BLOCK_NODE_IDS, 1])
+    def test_output_is_pinned_on_failing_checks(
+        self, tmp_path, capsys, monkeypatch, block_node_ids
+    ):
+        # One row per kernel block when block_node_ids is 1, so the first
+        # failing row, row 2, is found in the third block.
+        monkeypatch.setattr(kernel, "BLOCK_NODE_IDS", block_node_ids)
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model.write_text(json.dumps(CANCELLING_MODEL))
+        data.write_text("a,b,y\n0.0,0.0,0.0\n0.25,1.0,1.0\n1.0,0.0,2.0\n2.0,1.0,3.0\n")
+        code = cli.main([
+            "verify", "--model", str(model), "--data", str(data), "--target", "y",
+            "--probes", "50",
+        ])
+        assert (code, *capsys.readouterr()) == (
+            4,
+            "additive_identity: FAIL — sample 2: prediction 1.0 vs decomposition 0.75\n"
+            "telescoping: FAIL — sample 2, tree 1\n"
+            "node_means: FAIL — tree 1 node 2: value 0.0 is not the weighted mean "
+            "of its children (5e+19)\n"
+            "oracle_equivalence: ok\n"
+            "leaf_partition: ok\n",
+            "verification failed: additive_identity\n",
+        )
+
     def test_fresh_model_passes_all_checks(self, data_csv, model_json, capsys):
         code = cli.main([
             "verify", "--model", str(model_json), "--data", str(data_csv),
@@ -289,6 +368,64 @@ class TestVerify:
         ])
         assert code == 0
         capsys.readouterr()
+
+
+def _json_paths(obj, prefix=()):
+    """The key path of every value nested in obj, containers included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _json_paths(value, (*prefix, key))
+
+
+DELETE = object()
+MUTATIONS = [
+    DELETE, None, True, False, "1", [1], {}, float("nan"), float("inf"),
+    1e300, 10**400, -1, -0.5, 0, 99,
+]
+
+
+class TestModelFuzz:
+    @pytest.fixture(scope="class")
+    def fuzz_files(self, tmp_path_factory, data_csv):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        model = tmp / "model.json"
+        assert cli.main([
+            "train", "--data", str(data_csv), "--target", "y", "--no-split",
+            "--n-estimators", "2", "--max-depth", "2", "--model-out", str(model),
+        ]) == 0
+        return json.loads(model.read_text()), data_csv, tmp / "mutant.json"
+
+    @given(draw=st.data())
+    @settings(max_examples=150, deadline=2000)
+    def test_one_mutated_field_is_refused_or_verified(self, fuzz_files, draw):
+        # One field deleted or replaced: loading refuses the file with
+        # ModelFormatError, or verify runs to a verdict. Anything else, such
+        # as a stray TypeError, exit code 3 or a run past the deadline, is a
+        # defect.
+        payload, data, mutant = fuzz_files
+        payload = json.loads(json.dumps(payload))
+        *parents, key = draw.draw(st.sampled_from(list(_json_paths(payload))))
+        mutation = draw.draw(st.sampled_from(MUTATIONS))
+        owner = payload
+        for parent in parents:
+            owner = owner[parent]
+        if mutation is DELETE:
+            del owner[key]
+        else:
+            # A feature renamed to another string is a data mismatch, exit 3.
+            assume(not (isinstance(mutation, str) and isinstance(owner[key], str)))
+            owner[key] = mutation
+        mutant.write_text(json.dumps(payload))
+        try:
+            load_model(mutant)
+        except ModelFormatError:
+            return
+        code = cli.main([
+            "verify", "--model", str(mutant), "--data", str(data), "--target", "y",
+            "--probes", "20",
+        ])
+        assert code in (0, 4)
 
 
 class TestExperimentCommands:

@@ -132,9 +132,9 @@ def test_empty_batch(d0_two_trees):
 def test_compile_rejects_a_cycle():
     # Node 1's right child points back at the root.
     nodes = [
-        TreeNode(value=0.0, n_samples=3, sse=None, split=SplitDecision(0, 0.5), left=1, right=2),
-        TreeNode(value=1.0, n_samples=2, sse=None, split=SplitDecision(0, 0.2), left=2, right=0),
-        TreeNode(value=2.0, n_samples=1, sse=None),
+        TreeNode(value=0.0, n_samples=3, split=SplitDecision(0, 0.5), left=1, right=2),
+        TreeNode(value=1.0, n_samples=2, split=SplitDecision(0, 0.2), left=2, right=0),
+        TreeNode(value=2.0, n_samples=1),
     ]
     with pytest.raises(ValueError, match="do not form trees"):
         kernel.FlatForest([Tree(nodes=nodes, root=0, n_features=1)], 0.1)

@@ -64,7 +64,7 @@ class TestLeafRegions:
 
     def test_one_region_per_leaf(self, d0_two_trees):
         for tree in d0_two_trees.trees:
-            n_leaves = sum(1 for node in tree.nodes if node.is_leaf())
+            n_leaves = sum(1 for node in tree.nodes if node.split is None)
             assert len(enumerate_leaf_regions(tree)) == n_leaves
 
     def test_single_leaf_tree_covers_everything(self):
