@@ -28,9 +28,7 @@ from .boosting import (
 )
 from .cart import (
     CartParams,
-    SplitDecision,
     Tree,
-    TreeNode,
     best_split,
     decision_path,
     fit_cart,
@@ -82,9 +80,7 @@ __all__ = [
     "GbdtParams",
     "ModelFormatError",
     "OutlierSample",
-    "SplitDecision",
     "Tree",
-    "TreeNode",
     "add_correlated_feature",
     "add_gaussian_noise",
     "batch_explain",

@@ -11,22 +11,12 @@ free for callers (the experiment runners use it).
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .cart import (
-    CartParams,
-    SplitDecision,
-    Tree,
-    TreeNode,
-    _check_matrix,
-    _check_vector,
-    fit_cart,
-)
+from .cart import CartParams, Tree, _check_matrix, _check_vector, fit_cart, forest_depth
 from .data import Dataset
 from .kernel import FlatForest
 
@@ -59,8 +49,8 @@ class Ensemble:
 
     `params` is a provenance record for freshly fitted ensembles; models
     restored from disk carry None there (the file format stores only the
-    predictive state). The trees are compiled into `flat` on first use and
-    the result is cached, so they must not be changed after that.
+    predictive state). The trees' arrays are concatenated into `flat` on
+    first use and the result is cached, so they must not be changed after that.
     """
 
     f0: float
@@ -75,7 +65,7 @@ class Ensemble:
 
     @cached_property
     def flat(self) -> FlatForest:
-        """The trees compiled for the batch kernel, built on first use."""
+        """The trees' arrays concatenated for the batch kernel, on first use."""
         return FlatForest(self.trees, self.learning_rate)
 
 
@@ -116,18 +106,17 @@ def predict_batch(ens: Ensemble, X) -> np.ndarray:
     return out
 
 
-def node_split_gain(tree: Tree, node: TreeNode) -> float:
-    """SSE reduction of an internal node's split.
+def node_split_gain(tree: Tree) -> np.ndarray:
+    """Per node, the SSE reduction of its split; exactly 0.0 at a leaf.
 
     Uses the between-children identity
     n_l*(v_l - v)^2 + n_r*(v_r - v)^2, which depends only on serialized
     fields and therefore works identically for fitted and loaded models.
+    The squares are libm's pow, as Python's ``**`` computes them: d * d
+    differs from it in the last bit for about 0.1% of values.
     """
-    left = tree.nodes[node.left]
-    right = tree.nodes[node.right]
-    return left.n_samples * (left.value - node.value) ** 2 + right.n_samples * (
-        right.value - node.value
-    ) ** 2
+    n, v, left, right = tree.n_samples, tree.value, tree.left, tree.right
+    return n[left] * np.float_power(v[left] - v, 2) + n[right] * np.float_power(v[right] - v, 2)
 
 
 def feature_importance(ens: Ensemble) -> np.ndarray:
@@ -135,33 +124,30 @@ def feature_importance(ens: Ensemble) -> np.ndarray:
 
     This is the global "which feature split the data best" measure, as
     opposed to the per-sample contributions in :mod:`boostcontrib.contrib`.
+    Gains are added tree by tree in node order; a leaf adds +0.0 to
+    feature 0, which changes no sum.
     """
-    gains = np.zeros(ens.n_features, dtype=np.float64)
-    for tree in ens.trees:
-        for node in tree.nodes:
-            if node.split is not None:
-                gains[node.split.feature] += node_split_gain(tree, node)
+    gains = np.bincount(
+        np.concatenate([tree.feature for tree in ens.trees]),
+        weights=np.concatenate([node_split_gain(tree) for tree in ens.trees]),
+        minlength=ens.n_features,
+    )
     total = gains.sum()
     if total <= 0.0:
         raise ValueError("no splits; importance undefined")
     return gains / total
 
 
+NODE_KEYS = ("id", "value", "n_samples", "feature", "threshold", "left", "right")
+
+
 def _tree_to_dict(tree: Tree) -> dict:
-    nodes = []
-    for node_id, node in enumerate(tree.nodes):
-        nodes.append(
-            {
-                "id": node_id,
-                "value": node.value,
-                "n_samples": node.n_samples,
-                "feature": None if node.split is None else node.split.feature,
-                "threshold": None if node.split is None else node.split.threshold,
-                "left": node.left,
-                "right": node.right,
-            }
-        )
-    return {"root": tree.root, "nodes": nodes}
+    split = (
+        np.where(tree.is_leaf, None, field).tolist()
+        for field in (tree.feature, tree.threshold, tree.left, tree.right)
+    )
+    columns = zip(range(tree.value.size), tree.value.tolist(), tree.n_samples.tolist(), *split)
+    return {"root": tree.root, "nodes": [dict(zip(NODE_KEYS, node)) for node in columns]}
 
 
 def save_model(ens: Ensemble, path) -> None:
@@ -188,93 +174,90 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
     _require("root" in obj and "nodes" in obj, "tree entry needs 'root' and 'nodes'")
     raw_nodes = obj["nodes"]
     _require(isinstance(raw_nodes, list) and raw_nodes, "tree needs a non-empty node list")
-    position = {}
-    for pos, raw in enumerate(raw_nodes):
-        _require(isinstance(raw, dict), "node entry must be an object")
-        for key in ("id", "value", "n_samples", "feature", "threshold", "left", "right"):
-            _require(key in raw, f"node entry missing {key!r}")
-        _require(_is_node_id(raw["id"]), f"node id must be an integer, got {raw['id']!r}")
-        _require(raw["id"] not in position, f"duplicate node id {raw['id']}")
-        position[raw["id"]] = pos
+    _require(all(type(raw) is dict for raw in raw_nodes), "node entry must be an object")
+    columns = {}
+    for key in NODE_KEYS:
+        try:
+            columns[key] = [raw[key] for raw in raw_nodes]
+        except KeyError:
+            raise ModelFormatError(f"node entry missing {key!r}") from None
 
-    def child_pos(raw_id) -> int:
-        _require(_is_node_id(raw_id) and raw_id in position, f"unknown node id {raw_id!r}")
-        return position[raw_id]
+    ids = _numbers(columns["id"], "node id", integer=True).tolist()
+    position = dict(zip(ids, range(len(ids))))
+    if len(position) < len(ids):
+        raise ModelFormatError(
+            f"duplicate node id {next(i for p, i in enumerate(ids) if position[i] != p)}"
+        )
 
-    nodes = []
-    for raw in raw_nodes:
-        value = _number(raw["value"], "node value")
-        n_samples = _number(raw["n_samples"], "node n_samples", int)
-        _require(n_samples >= 1, f"node n_samples must be positive, got {n_samples}")
-        split_keys = (raw["feature"], raw["threshold"], raw["left"], raw["right"])
-        if all(k is None for k in split_keys):
-            nodes.append(TreeNode(value=value, n_samples=n_samples))
-            continue
-        _require(
-            all(k is not None for k in split_keys),
-            "internal node needs feature, threshold, left and right; a leaf has none",
+    def positions(raw_ids: list) -> list[int]:
+        found = [position.get(i, -1) if type(i) is int else -1 for i in raw_ids]
+        if -1 in found:
+            raise ModelFormatError(f"unknown node id {raw_ids[found.index(-1)]!r}")
+        return found
+
+    value = _numbers(columns["value"], "node value")
+    n_samples = _numbers(columns["n_samples"], "node n_samples", integer=True)
+    if (n_samples < 1).any():
+        raise ModelFormatError(
+            f"node n_samples must be positive, got {n_samples[np.argmax(n_samples < 1)]}"
         )
-        feature = _number(raw["feature"], "split feature", int)
-        _require(0 <= feature < n_features, f"split feature {feature} out of range")
-        nodes.append(
-            TreeNode(
-                value=value,
-                n_samples=n_samples,
-                split=SplitDecision(
-                    feature=feature, threshold=_number(raw["threshold"], "split threshold")
-                ),
-                left=child_pos(raw["left"]),
-                right=child_pos(raw["right"]),
-            )
+    split = [columns[key] for key in ("feature", "threshold", "left", "right")]
+    given = np.array([[v is not None for v in column] for column in split])
+    _require(
+        (given == given[0]).all(),
+        "internal node needs feature, threshold, left and right; a leaf has none",
+    )
+    feature, threshold, left, right = ([v for v in column if v is not None] for column in split)
+    feature = _numbers(feature, "split feature", integer=True)
+    out_of_range = (feature < 0) | (feature >= n_features)
+    if out_of_range.any():
+        raise ModelFormatError(f"split feature {feature[np.argmax(out_of_range)]} out of range")
+
+    # Leaves keep Tree's convention; the split fields fill the internal nodes.
+    nodes, at = np.arange(len(ids)), np.flatnonzero(given[0])
+    tree = Tree(
+        np.zeros_like(nodes), np.zeros(nodes.size), nodes, nodes.copy(), value, n_samples,
+        n_features=n_features,
+    )
+    tree.feature[at] = feature
+    tree.threshold[at] = _numbers(threshold, "split threshold")
+    tree.left[at] = positions(left)
+    tree.right[at] = positions(right)
+    tree.root = positions([obj["root"]])[0]
+    try:
+        forest_depth(tree.left, tree.right, np.array([tree.root]), ids)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+    left_n, right_n = n_samples[tree.left[at]], n_samples[tree.right[at]]
+    wrong = np.flatnonzero(n_samples[at] != left_n + right_n)
+    if wrong.size:
+        i = wrong[0]
+        raise ModelFormatError(
+            f"node id {ids[at[i]]}: n_samples {n_samples[at[i]]} is not the sum of "
+            f"its children's ({left_n[i]} + {right_n[i]})"
         )
-    tree = Tree(nodes=nodes, root=child_pos(obj["root"]), n_features=n_features)
-    _require_tree_shape(tree, [raw["id"] for raw in raw_nodes])
     return tree
 
 
-def _number(raw, what: str, kind: type = float):
-    """A JSON number of the given kind (float or int), no bool or string, that
-    converts to a finite float: an integer beyond that would overflow when
-    multiplied with a float."""
-    accepted = (int, float) if kind is float else int
-    _require(
-        isinstance(raw, accepted) and not isinstance(raw, bool),
-        f"{what} must be {'a number' if kind is float else 'an integer'}, got {raw!r}",
-    )
-    _require(
-        math.isfinite(raw) if isinstance(raw, float) else abs(raw) <= sys.float_info.max,
-        f"{what} must be finite, got {raw!r}",
-    )
-    return kind(raw)
-
-
-def _is_node_id(raw_id) -> bool:
-    return isinstance(raw_id, int) and not isinstance(raw_id, bool)
-
-
-def _require_tree_shape(tree: Tree, ids: list[int]) -> None:
-    """Every node is reached from the root exactly once: no cycle, no
-    shared subtree, no orphan. Traversal relies on this to terminate.
-    Each internal node's n_samples is the sum of its children's."""
-    reached = [False] * len(tree.nodes)
-    stack = [tree.root]
-    while stack:
-        node_id = stack.pop()
-        _require(not reached[node_id], f"node id {ids[node_id]} is reached twice from the root")
-        reached[node_id] = True
-        node = tree.nodes[node_id]
-        if node.split is not None:
-            stack += (node.right, node.left)
-    if not all(reached):
-        raise ModelFormatError(f"node id {ids[reached.index(False)]} is not reached from the root")
-    for node_id, node in enumerate(tree.nodes):
-        if node.split is not None:
-            left, right = tree.nodes[node.left].n_samples, tree.nodes[node.right].n_samples
-            _require(
-                node.n_samples == left + right,
-                f"node id {ids[node_id]}: n_samples {node.n_samples} is not the sum of "
-                f"its children's ({left} + {right})",
-            )
+def _numbers(column: list, what: str, integer: bool = False) -> np.ndarray:
+    """column as a float64 or int64 array, each entry a JSON number (an
+    integer if `integer`; never a bool or a string) that is finite and fits
+    the dtype: an integer beyond that would overflow in arithmetic."""
+    kinds, dtype = ({int}, np.int64) if integer else ({int, float}, np.float64)
+    if not set(map(type, column)) <= kinds:
+        wrong = next(v for v in column if type(v) not in kinds)
+        kind = "an integer" if integer else "a number"
+        raise ModelFormatError(f"{what} must be {kind}, got {wrong!r}")
+    try:
+        array = np.array(column, dtype=dtype)
+        finite = np.isfinite(array)
+    except OverflowError:  # an integer beyond the dtype's range
+        info = np.iinfo(dtype) if integer else np.finfo(dtype)
+        finite = np.array([int(info.min) <= v <= int(info.max) for v in column])
+    if not finite.all():
+        bound = " and fit in 64 bits" if integer else ""
+        raise ModelFormatError(f"{what} must be finite{bound}, got {column[np.argmin(finite)]!r}")
+    return array
 
 
 def load_model(path) -> Ensemble:
@@ -300,8 +283,8 @@ def load_model(path) -> Ensemble:
         "feature_names must be a list of strings",
     )
     _require(len(set(names)) == len(names), "feature_names must be unique")
-    f0 = _number(payload["f0"], "f0")
-    learning_rate = _number(payload["learning_rate"], "learning_rate")
+    f0 = _numbers([payload["f0"]], "f0").item()
+    learning_rate = _numbers([payload["learning_rate"]], "learning_rate").item()
     _require(
         0.0 < learning_rate <= 1.0, f"learning_rate must be in (0, 1], got {learning_rate!r}"
     )

@@ -17,30 +17,11 @@ equivalence, which makes the conventions here load-bearing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 RELATIVE_TIE_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class SplitDecision:
-    """Feature/threshold test; left means x[feature] <= threshold."""
-
-    feature: int
-    threshold: float
-
-
-@dataclass
-class TreeNode:
-    """One arena entry; a leaf iff `split` is None iff both children are None."""
-
-    value: float
-    n_samples: int
-    split: SplitDecision | None = None
-    left: int | None = None
-    right: int | None = None
 
 
 @dataclass(frozen=True)
@@ -67,13 +48,58 @@ class CartParams:
             raise ValueError("min_gain must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class Tree:
-    """Arena of nodes; `root` indexes into `nodes` (always 0 after fitting)."""
+    """One tree as parallel per-node arrays, scikit-learn's ``tree_`` layout;
+    `root` indexes into them (always 0 after fitting). `value` is the mean
+    target of the `n_samples` training rows routed to a node. A leaf has
+    feature 0, threshold 0.0 and both children pointing at itself."""
 
-    nodes: list[TreeNode] = field(default_factory=list)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
     root: int = 0
     n_features: int = 0
+
+    @property
+    def is_leaf(self) -> np.ndarray:
+        """Per node, whether it is a leaf."""
+        return self.left == np.arange(self.left.size)
+
+
+def forest_depth(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=None) -> int:
+    """The most levels below any of the roots in trees linked by `left` and
+    `right`. Raises ValueError, naming nodes by `ids` (default: positions),
+    unless every node is reached from the roots exactly once: no cycle, no
+    shared subtree, no orphan. Traversal relies on this to terminate."""
+    nodes = np.arange(left.size)
+    names = nodes if ids is None else ids
+    internal = nodes[(left != nodes) | (right != nodes)]
+    links = np.bincount(
+        np.concatenate([roots, left[internal], right[internal]]), minlength=nodes.size
+    )
+    if (links > 1).any():
+        raise ValueError(
+            f"tree nodes do not form trees: node id {names[np.argmax(links > 1)]} "
+            "is reached twice from the root"
+        )
+    # Every node now has one link at most, so no level repeats a node.
+    reached = np.zeros(nodes.size, dtype=bool)
+    depth, level = -1, roots
+    while level.size:
+        reached[level] = True
+        depth += 1
+        level = level[left[level] != level]
+        level = np.concatenate([left[level], right[level]])
+    if not reached.all():
+        raise ValueError(
+            f"tree nodes do not form trees: node id {names[np.argmin(reached)]} "
+            "is not reached from the root"
+        )
+    return depth
 
 
 def best_split(
@@ -154,11 +180,16 @@ def fit_cart(
     if y.shape[0] < 1:
         raise ValueError("need at least one sample")
 
-    tree = Tree(nodes=[], root=0, n_features=X.shape[1])
+    feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
 
     def build(X_node: np.ndarray, y_node: np.ndarray, depth: int) -> int:
-        node_id = len(tree.nodes)
-        tree.nodes.append(TreeNode(value=float(np.mean(y_node)), n_samples=y_node.shape[0]))
+        node_id = len(value)
+        feature.append(0)
+        threshold.append(0.0)
+        left.append(node_id)
+        right.append(node_id)
+        value.append(np.mean(y_node))
+        n_samples.append(y_node.shape[0])
         if depth >= params.max_depth or y_node.shape[0] < params.min_samples_split:
             return node_id
         found = best_split(
@@ -170,18 +201,16 @@ def fit_cart(
         )
         if found is None:
             return node_id
-        feature, threshold, _gain = found
-        mask = X_node[:, feature] <= threshold
-        left_id = build(X_node[mask], y_node[mask], depth + 1)
-        right_id = build(X_node[~mask], y_node[~mask], depth + 1)
-        node = tree.nodes[node_id]
-        node.split = SplitDecision(feature=feature, threshold=threshold)
-        node.left = left_id
-        node.right = right_id
+        split_feature, split_threshold, _gain = found
+        feature[node_id], threshold[node_id] = split_feature, split_threshold
+        mask = X_node[:, split_feature] <= split_threshold
+        left[node_id] = build(X_node[mask], y_node[mask], depth + 1)
+        right[node_id] = build(X_node[~mask], y_node[~mask], depth + 1)
         return node_id
 
     build(X, y, 0)
-    return tree
+    fields = (feature, threshold, left, right, value, n_samples)
+    return Tree(*map(np.array, fields), n_features=X.shape[1])
 
 
 def _check_matrix(owner, X) -> np.ndarray:
@@ -212,18 +241,15 @@ def _check_vector(owner, x) -> np.ndarray:
 def decision_path(tree: Tree, x) -> list[int]:
     """Node ids from root to the leaf reached by x, in traversal order."""
     x = _check_vector(tree, x)
-    path = [tree.root]
-    node = tree.nodes[tree.root]
-    while node.split is not None:
-        if x[node.split.feature] <= node.split.threshold:
-            next_id = node.left
-        else:
-            next_id = node.right
-        path.append(next_id)
-        node = tree.nodes[next_id]
+    node = tree.root
+    path = [node]
+    while tree.left[node] != node:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = int(tree.left[node] if go_left else tree.right[node])
+        path.append(node)
     return path
 
 
 def tree_predict(tree: Tree, x) -> float:
     """Value of the leaf reached by routing x from the root."""
-    return tree.nodes[decision_path(tree, x)[-1]].value
+    return float(tree.value[decision_path(tree, x)[-1]])

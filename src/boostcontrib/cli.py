@@ -42,7 +42,7 @@ from .experiments import (
 from .oracle import (
     check_partition,
     enumerate_leaf_regions,
-    naive_contributions,
+    naive_contributions_batch,
     sample_probes,
 )
 
@@ -246,25 +246,25 @@ def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
 def _node_mean_violation(model: Ensemble) -> str | None:
     """The first internal node whose value is not its children's weighted mean."""
     for t, tree in enumerate(model.trees):
-        for node_id, node in enumerate(tree.nodes):
-            if node.split is None:
-                continue
-            left, right = tree.nodes[node.left], tree.nodes[node.right]
-            merged = (left.n_samples * left.value + right.n_samples * right.value) / node.n_samples
-            if abs(merged - node.value) > 1e-9 * max(1.0, abs(node.value)):
-                return (
-                    f"tree {t} node {node_id}: value {node.value!r} is not the "
-                    f"weighted mean of its children ({merged!r})"
-                )
+        n, v, left, right = tree.n_samples, tree.value, tree.left, tree.right
+        merged = (n[left] * v[left] + n[right] * v[right]) / n
+        off = np.abs(merged - v) > 1e-9 * np.maximum(1.0, np.abs(v))
+        node_ids = np.flatnonzero(off & ~tree.is_leaf)
+        if node_ids.size:
+            i = node_ids[0]
+            return (
+                f"tree {t} node {i}: value {v[i].item()!r} is not the "
+                f"weighted mean of its children ({merged[i].item()!r})"
+            )
     return None
 
 
 def _oracle_disagreement(model: Ensemble, X: np.ndarray, explanations) -> str | None:
     """The first sample whose bias or contributions differ from the oracle's."""
-    for i, (x, e) in enumerate(zip(X, explanations)):
-        bias, contributions = naive_contributions(model, x)
+    bias, contributions = naive_contributions_batch(model, X)
+    for i, e in enumerate(explanations):
         ours = [e.contributions[n] for n in model.feature_names]
-        if not (bias == e.bias and np.array_equal(contributions, ours)):
+        if not (bias == e.bias and np.array_equal(contributions[i], ours)):
             return f"sample {i} disagrees with recursive-descent recount"
     return None
 
@@ -367,6 +367,13 @@ def _add_hyper_flags(p: argparse.ArgumentParser, *, n_estimators: int, max_depth
     p.add_argument("--test-fraction", type=float, default=0.1)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boostcontrib",
@@ -426,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True)
     _add_data_flags(p)
-    p.add_argument("--probes", type=int, default=1000, help="probes per tree for the leaf-partition check")
+    p.add_argument("--probes", type=_positive_int, default=1000, help="probes per tree for the leaf-partition check")
     p.add_argument("--probe-seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -87,8 +87,8 @@ def batch_explain(ens: Ensemble, data) -> list[Explanation]:
     X = _features(ens, data)
     flat = ens.flat
     bias = ens.f0
-    for tree in ens.trees:
-        bias += ens.learning_rate * tree.nodes[tree.root].value
+    for root_value in flat.value[flat.roots].tolist():
+        bias += ens.learning_rate * root_value
     explanations = []
     for _rows, ids in flat.paths(X):
         predictions = ens.f0 + ens.learning_rate * flat.leaf_sum(ids)

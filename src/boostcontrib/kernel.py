@@ -1,10 +1,10 @@
-"""Flat-array tree layout and the batch traversal kernel.
+"""The batch traversal kernel over an ensemble's concatenated tree arrays.
 
-An ensemble's trees are compiled once into parallel arrays indexed by a
-global node id (all trees concatenated), the layout scikit-learn's
-``tree_`` uses. Rows then move through every tree at once, one level per
-step, and everything the package reads off a traversal comes from the
-visited node ids:
+Each :class:`~boostcontrib.cart.Tree` holds its nodes as parallel arrays,
+the layout scikit-learn's ``tree_`` uses. An ensemble's trees are
+concatenated once into arrays indexed by a global node id. Rows then move
+through every tree at once, one level per step, and everything the
+package reads off a traversal comes from the visited node ids:
 
 * the leaf sum, added tree by tree, which predictions are built on;
 * per-feature contributions, the scaled residues of the visited edges
@@ -28,7 +28,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .cart import Tree
+from .cart import Tree, forest_depth
 
 # Rows per block are chosen so one block's path array holds about this many
 # node ids. This bounds the kernel's working memory whatever the input size,
@@ -38,55 +38,31 @@ BLOCK_NODE_IDS = 1 << 15
 
 
 class FlatForest:
-    """Trees compiled into flat per-node arrays; read-only once built.
+    """The trees' arrays concatenated, child ids made global; read-only.
 
-    Leaves carry feature 0 and point both children at themselves, so a
-    row that has reached its leaf stays there on later levels. Roots are
-    their own parents.
+    Leaves keep :class:`~boostcontrib.cart.Tree`'s convention, feature 0
+    and both children pointing at themselves, so a row that has reached
+    its leaf stays there on later levels. Roots are their own parents.
     """
 
     def __init__(self, trees: list[Tree], learning_rate: float):
-        total = sum(len(tree.nodes) for tree in trees)
-        self.feature = np.zeros(total, dtype=np.intp)
-        self.threshold = np.zeros(total, dtype=np.float64)
-        self.left = np.arange(total, dtype=np.intp)
-        self.right = np.arange(total, dtype=np.intp)
-        self.value = np.empty(total, dtype=np.float64)
-        self.roots = np.empty(len(trees), dtype=np.intp)
-        offset = 0
-        # Filled tree by tree, so Python-level temporaries stay one tree big.
-        for tree_index, tree in enumerate(trees):
-            self.roots[tree_index] = offset + tree.root
-            self.value[offset : offset + len(tree.nodes)] = [n.value for n in tree.nodes]
-            splits = [(i, n) for i, n in enumerate(tree.nodes) if n.split is not None]
-            if splits:
-                at = offset + np.array([i for i, _ in splits], dtype=np.intp)
-                self.feature[at] = [n.split.feature for _, n in splits]
-                self.threshold[at] = [n.split.threshold for _, n in splits]
-                self.left[at] = offset + np.array([n.left for _, n in splits], dtype=np.intp)
-                self.right[at] = offset + np.array([n.right for _, n in splits], dtype=np.intp)
-            offset += len(tree.nodes)
+        sizes = [tree.value.size for tree in trees]
+        offsets = np.cumsum([0, *sizes[:-1]])
+        shift = np.repeat(offsets, sizes)
+        self.feature = np.concatenate([tree.feature for tree in trees])
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.left = np.concatenate([tree.left for tree in trees]) + shift
+        self.right = np.concatenate([tree.right for tree in trees]) + shift
+        self.value = np.concatenate([tree.value for tree in trees])
+        self.roots = offsets + [tree.root for tree in trees]
+        self.depth = forest_depth(self.left, self.right, self.roots)
 
-        internal = np.flatnonzero(self.left != np.arange(total))
-        self.parent = np.arange(total, dtype=np.intp)
-        self.residue = np.zeros(total, dtype=np.float64)
+        internal = np.flatnonzero(self.left != np.arange(self.left.size))
+        self.parent = np.arange(self.left.size)
+        self.residue = np.zeros(self.left.size)
         for child in (self.left[internal], self.right[internal]):
             self.parent[child] = internal
             self.residue[child] = learning_rate * (self.value[child] - self.value[internal])
-
-        # Levels below the roots, walked for all trees at once. No level of a
-        # forest outnumbers its nodes or lies deeper than its node count, so
-        # nodes that break either bound cannot form trees (say, a cycle).
-        self.depth = 0
-        level = self.roots
-        while True:
-            level = level[self.left[level] != level]
-            if level.size == 0:
-                break
-            self.depth += 1
-            if self.depth > total or level.size > total:
-                raise ValueError("tree nodes do not form trees: a path never reaches a leaf")
-            level = np.concatenate([self.left[level], self.right[level]])
 
     def paths(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Route every row of X through every tree, one level at a time.

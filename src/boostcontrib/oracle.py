@@ -1,11 +1,12 @@
 """Independent brute-force checkers used by tests and the verify command.
 
-Nothing here calls the traversal code in :mod:`boostcontrib.cart` or
-:mod:`boostcontrib.contrib`; trees are walked by direct recursive descent
-so the two implementations can be compared against each other. Summation
-order (tree-major, path-minor) deliberately matches the contribution
-module, making equality exact instead of tolerance-based. The module
-favors obvious correctness over speed.
+Nothing here calls the traversal code in :mod:`boostcontrib.cart`,
+:mod:`boostcontrib.kernel` or :mod:`boostcontrib.contrib`; each tree's
+arrays are walked by direct recursive descent so the implementations can
+be compared against each other. Summation order (tree-major, path-minor)
+deliberately matches the contribution module, making equality exact
+instead of tolerance-based. The module favors obvious correctness over
+speed.
 """
 
 from __future__ import annotations
@@ -30,32 +31,38 @@ class RegionBox:
 
 
 def naive_contributions(ens: Ensemble, x) -> tuple[float, np.ndarray]:
-    """Recompute (bias, per-feature contributions) by recursive descent."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ens.n_features,):
-        raise ValueError(
-            f"expected a vector of {ens.n_features} features, got shape {x.shape}"
-        )
-    contributions = np.zeros(ens.n_features, dtype=np.float64)
+    """Recompute (bias, per-feature contributions) of one row by recursive
+    descent, as a batch of one."""
+    bias, contributions = naive_contributions_batch(ens, np.asarray(x, dtype=np.float64)[None])
+    return bias, contributions[0]
 
-    def descend(tree: Tree, node_id: int) -> None:
-        node = tree.nodes[node_id]
-        if node.split is None:
+
+def naive_contributions_batch(ens: Ensemble, X) -> tuple[float, np.ndarray]:
+    """Recompute the bias and the (n, n_features) contributions of the rows
+    of X by recursive descent, carrying the set of rows that reach each node.
+    Every row gets its adds tree by tree and, within a tree, edge by edge
+    from the root: tree-major, path-minor."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != ens.n_features:
+        raise ValueError(f"expected rows of {ens.n_features} features, got shape {X.shape}")
+    contributions = np.zeros(X.shape, dtype=np.float64)
+
+    def descend(tree: Tree, node: int, rows: np.ndarray) -> None:
+        if tree.left[node] == node or rows.size == 0:
             return
-        if x[node.split.feature] <= node.split.threshold:
-            child_id = node.left
-        else:
-            child_id = node.right
-        child = tree.nodes[child_id]
-        contributions[node.split.feature] += ens.learning_rate * (
-            child.value - node.value
-        )
-        descend(tree, child_id)
+        feature = tree.feature[node]
+        go_left = X[rows, feature] <= tree.threshold[node]
+        children = ((tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left]))
+        for child, child_rows in children:
+            contributions[child_rows, feature] += ens.learning_rate * (
+                tree.value[child] - tree.value[node]
+            )
+            descend(tree, child, child_rows)
 
     bias = ens.f0
     for tree in ens.trees:
-        bias += ens.learning_rate * tree.nodes[tree.root].value
-        descend(tree, tree.root)
+        bias += ens.learning_rate * tree.value[tree.root].item()
+        descend(tree, tree.root, np.arange(X.shape[0]))
     return bias, contributions
 
 
@@ -63,18 +70,17 @@ def enumerate_leaf_regions(tree: Tree) -> list[tuple[RegionBox, float]]:
     """One (box, leaf value) pair per leaf, intersecting splits root-to-leaf."""
     regions = []
 
-    def descend(node_id: int, lower: np.ndarray, upper: np.ndarray) -> None:
-        node = tree.nodes[node_id]
-        if node.split is None:
-            regions.append((RegionBox(lower=lower, upper=upper), node.value))
+    def descend(node: int, lower: np.ndarray, upper: np.ndarray) -> None:
+        if tree.left[node] == node:
+            regions.append((RegionBox(lower=lower, upper=upper), tree.value[node].item()))
             return
-        feat, th = node.split.feature, node.split.threshold
+        feat, th = tree.feature[node], tree.threshold[node]
         left_upper = upper.copy()
         left_upper[feat] = min(left_upper[feat], th)
-        descend(node.left, lower.copy(), left_upper)
+        descend(tree.left[node], lower.copy(), left_upper)
         right_lower = lower.copy()
         right_lower[feat] = max(right_lower[feat], th)
-        descend(node.right, right_lower, upper.copy())
+        descend(tree.right[node], right_lower, upper.copy())
 
     descend(
         tree.root,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boostcontrib import CartParams, Dataset, GbdtParams, fit_gbdt
+from boostcontrib import CartParams, Dataset, GbdtParams, Tree, fit_gbdt
 
 # Hand-checked four-point fixture. With a depth-2 tree the first split is
 # f0 <= 0.5 (gain 225 vs 25 for f1); the right child splits on f1 <= 0.5.
@@ -64,3 +64,15 @@ def random_ensemble(rng: np.random.Generator, *, max_n: int = 80, max_trees: int
         seed=int(rng.integers(0, 1000)),
     )
     return ds, fit_gbdt(ds, params)
+
+
+def tree_of(nodes, root: int = 0, n_features: int = 1) -> Tree:
+    """A Tree from node tuples listed by node id: (value, n_samples) for a
+    leaf, (value, n_samples, feature, threshold, left, right) for a split."""
+    splits = [node[2:] if len(node) == 6 else (0, 0.0, i, i) for i, node in enumerate(nodes)]
+    feature, threshold, left, right = zip(*splits)
+    value, n_samples = zip(*(node[:2] for node in nodes))
+    return Tree(
+        np.array(feature), np.array(threshold, dtype=float), np.array(left), np.array(right),
+        np.array(value, dtype=float), np.array(n_samples), root=root, n_features=n_features,
+    )

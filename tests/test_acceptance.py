@@ -115,7 +115,7 @@ def test_criterion_02_telescoping(sweep):
         for x in run.x_test:
             records = decision_contributions(run.ens, x)
             for t, tree in enumerate(run.ens.trees):
-                walked = tree.nodes[tree.root].value
+                walked = tree.value[tree.root]
                 for r in records:
                     if r.tree_index == t:
                         walked += r.residue
@@ -155,13 +155,12 @@ def test_criterion_04_hand_traced_fixture():
 
     # the tree shape, fitted on raw targets
     tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), np.random.default_rng(0))
-    root = tree.nodes[0]
-    assert root.split.feature == 0 and root.split.threshold == 0.5
-    assert root.value == 7.5 and root.n_samples == 4
-    assert tree.nodes[root.left].value == 0.0
-    right = tree.nodes[root.right]
-    assert right.split.feature == 1 and right.value == 15.0
-    assert tree.nodes[right.left].value == 10.0 and tree.nodes[right.right].value == 20.0
+    assert tree.feature[0] == 0 and tree.threshold[0] == 0.5
+    assert tree.value[0] == 7.5 and tree.n_samples[0] == 4
+    assert tree.value[tree.left[0]] == 0.0
+    right = tree.right[0]
+    assert tree.feature[right] == 1 and tree.value[right] == 15.0
+    assert tree.value[tree.left[right]] == 10.0 and tree.value[tree.right[right]] == 20.0
 
     one = fit_gbdt(ds, GbdtParams(n_estimators=1, learning_rate=1.0, cart=CartParams(max_depth=2), seed=0))
     assert gbdt_predict(one, np.array([1.0, 1.0])) == 20.0

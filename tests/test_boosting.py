@@ -27,22 +27,13 @@ from boostcontrib.experiments import OUTLIER_CONFIG
 from conftest import D0_X, build_synthetic, random_ensemble
 
 
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples")
+
+
 def trees_equal(a, b) -> bool:
-    if len(a.nodes) != len(b.nodes) or a.root != b.root:
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if (na.value, na.n_samples, na.left, na.right) != (
-            nb.value,
-            nb.n_samples,
-            nb.left,
-            nb.right,
-        ):
-            return False
-        if (na.split is None) != (nb.split is None):
-            return False
-        if na.split is not None and na.split != nb.split:
-            return False
-    return True
+    return a.root == b.root and all(
+        np.array_equal(getattr(a, field), getattr(b, field)) for field in TREE_FIELDS
+    )
 
 
 class TestFit:
@@ -56,14 +47,13 @@ class TestFit:
 
     def test_second_tree_fits_residuals(self, d0_two_trees):
         t2 = d0_two_trees.trees[1]
-        root = t2.nodes[0]
-        assert root.value == 0.0
-        assert root.split.feature == 0
-        assert t2.nodes[root.left].value == -3.75
-        right = t2.nodes[root.right]
-        assert right.value == 3.75
-        assert t2.nodes[right.left].value == 1.25
-        assert t2.nodes[right.right].value == 6.25
+        assert t2.value[0] == 0.0
+        assert not t2.is_leaf[0] and t2.feature[0] == 0
+        assert t2.value[t2.left[0]] == -3.75
+        right = t2.right[0]
+        assert t2.value[right] == 3.75
+        assert t2.value[t2.left[right]] == 1.25
+        assert t2.value[t2.right[right]] == 6.25
 
     def test_learning_rate_never_scales_f0(self, d0_two_trees):
         # 7.5 + 0.5*(-7.5) + 0.5*(-3.75), not 0.5*7.5 + ...
@@ -94,7 +84,7 @@ class TestFit:
         last = float(np.mean((ds.target - running) ** 2))
         for tree in ens.trees:
             stage = np.array([
-                tree.nodes[_leaf(tree, x)].value for x in ds.features
+                tree.value[_leaf(tree, x)] for x in ds.features
             ])
             running = running + ens.learning_rate * stage
             mse = float(np.mean((ds.target - running) ** 2))
@@ -104,9 +94,9 @@ class TestFit:
 
 def _leaf(tree, x):
     node_id = tree.root
-    while tree.nodes[node_id].split is not None:
-        node = tree.nodes[node_id]
-        node_id = node.left if x[node.split.feature] <= node.split.threshold else node.right
+    while tree.left[node_id] != node_id:
+        go_left = x[tree.feature[node_id]] <= tree.threshold[node_id]
+        node_id = tree.left[node_id] if go_left else tree.right[node_id]
     return node_id
 
 
@@ -153,9 +143,25 @@ class TestImportance:
 
     def test_node_split_gain_matches_sse_bookkeeping(self, d0_one_tree):
         tree = d0_one_tree.trees[0]
-        root = tree.nodes[0]
-        assert node_split_gain(tree, root) == 225.0
-        assert node_split_gain(tree, tree.nodes[root.right]) == 50.0
+        gains = node_split_gain(tree)
+        assert gains[0] == 225.0
+        assert gains[tree.right[0]] == 50.0
+
+    @given(seed=st.integers(0, 5000))
+    @settings(max_examples=30, deadline=None)
+    def test_node_split_gain_matches_python_floats(self, seed):
+        # The per-node formula in Python floats, as importance was computed
+        # node by node; leaves gain exactly nothing.
+        _, ens = random_ensemble(np.random.default_rng(seed))
+        for tree in ens.trees:
+            n, v = tree.n_samples.tolist(), tree.value.tolist()
+            want = [
+                0.0 if leaf else n[l] * (v[l] - v[i]) ** 2 + n[r] * (v[r] - v[i]) ** 2
+                for i, (leaf, l, r) in enumerate(
+                    zip(tree.is_leaf.tolist(), tree.left.tolist(), tree.right.tolist())
+                )
+            ]
+            assert node_split_gain(tree).tobytes() == np.array(want).tobytes()
 
     def test_single_leaf_model_has_no_importance(self):
         from boostcontrib import Dataset
@@ -209,6 +215,14 @@ class TestPersistence:
         probes = rng.uniform(-3, 3, size=(20, ds.n_features))
         for x in probes:
             assert gbdt_predict(loaded, x) == gbdt_predict(ens, x)
+        for fitted, back in zip(ens.trees, loaded.trees):
+            assert fitted.root == back.root
+            for field in TREE_FIELDS:
+                a, b = getattr(fitted, field), getattr(back, field)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+        again = path.with_name("again.json")
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
@@ -282,6 +296,11 @@ class TestPersistence:
             (lambda nodes: nodes[0].update(left=0), "node id 0 is reached twice"),
             (lambda nodes: nodes[2].update(left=0), "node id 0 is reached twice"),
             (lambda nodes: nodes[2].update(left=1), "node id 1 is reached twice"),
+            # Every node has one parent, but nodes 2 and 4 hang off a loop.
+            (
+                lambda nodes: (nodes[0].update(right=3), nodes[2].update(left=2)),
+                "node id 2 is not reached",
+            ),
             (
                 lambda nodes: nodes[2].update(
                     feature=None, threshold=None, left=None, right=None
@@ -303,6 +322,7 @@ class TestPersistence:
             (lambda nodes: nodes[1].update(n_samples=True), "node n_samples must be an integer"),
             (lambda nodes: nodes[1].update(n_samples=0), "node n_samples must be positive"),
             (lambda nodes: nodes[1].update(n_samples=10**400), "node n_samples must be finite"),
+            (lambda nodes: nodes[1].update(n_samples=2**63), "n_samples must be .* fit in 64 bits"),
             (lambda nodes: nodes[0].update(feature=[0]), "split feature must be an integer"),
             (lambda nodes: nodes[0].update(feature=0.0), "split feature must be an integer"),
             (
@@ -311,10 +331,10 @@ class TestPersistence:
             ),
         ],
         ids=[
-            "self-loop", "cycle", "shared-child", "orphan", "list-id", "bool-id", "list-child",
-            "list-value", "string-value", "nan-value", "list-threshold", "inf-threshold",
-            "list-n_samples", "bool-n_samples", "zero-n_samples", "huge-n_samples", "list-feature",
-            "float-feature", "unbalanced-n_samples",
+            "self-loop", "cycle", "shared-child", "loop-apart-from-root", "orphan", "list-id",
+            "bool-id", "list-child", "list-value", "string-value", "nan-value", "list-threshold",
+            "inf-threshold", "list-n_samples", "bool-n_samples", "zero-n_samples", "huge-n_samples",
+            "int64-n_samples", "list-feature", "float-feature", "unbalanced-n_samples",
         ],
     )
     def test_load_rejects_malformed_tree(self, d0_one_tree, tmp_path, mangle, message):

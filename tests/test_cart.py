@@ -84,39 +84,37 @@ class TestBestSplit:
 class TestFitCart:
     def test_d0_structure(self, d0_dataset):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())
-        root = tree.nodes[0]
-        assert (root.value, root.n_samples) == (7.5, 4)
-        assert root.split.feature == 0 and root.split.threshold == 0.5
-        left = tree.nodes[root.left]
-        assert (left.value, left.n_samples) == (0.0, 2)
-        assert left.split is None
-        right = tree.nodes[root.right]
-        assert (right.value, right.n_samples) == (15.0, 2)
-        assert right.split.feature == 1 and right.split.threshold == 0.5
-        assert tree.nodes[right.left].value == 10.0
-        assert tree.nodes[right.right].value == 20.0
-        assert len(tree.nodes) == 5
+        assert (tree.value[0], tree.n_samples[0]) == (7.5, 4)
+        assert tree.feature[0] == 0 and tree.threshold[0] == 0.5
+        left = tree.left[0]
+        assert (tree.value[left], tree.n_samples[left]) == (0.0, 2)
+        assert tree.is_leaf[left]
+        right = tree.right[0]
+        assert (tree.value[right], tree.n_samples[right]) == (15.0, 2)
+        assert tree.feature[right] == 1 and tree.threshold[right] == 0.5
+        assert tree.value[tree.left[right]] == 10.0
+        assert tree.value[tree.right[right]] == 20.0
+        assert tree.value.size == 5
 
     def test_node_ids_are_preorder(self):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())
-        root = tree.nodes[0]
-        assert root.left == 1 and root.right == 2
-        assert tree.nodes[2].left == 3 and tree.nodes[2].right == 4
+        assert tree.left[0] == 1 and tree.right[0] == 2
+        assert tree.left[2] == 3 and tree.right[2] == 4
 
     def test_depth_one_is_a_stump(self):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=1), rng_of())
-        assert len(tree.nodes) == 3
-        assert tree.nodes[1].split is None and tree.nodes[2].split is None
+        assert tree.value.size == 3
+        assert tree.is_leaf[1] and tree.is_leaf[2]
 
     def test_single_sample_gives_single_leaf(self):
         tree = fit_cart(np.array([[3.0]]), np.array([7.0]), CartParams(max_depth=4), rng_of())
-        assert len(tree.nodes) == 1
-        assert tree.nodes[0].value == 7.0
+        assert tree.value.size == 1
+        assert tree.value[0] == 7.0
 
     def test_min_samples_split_stops_growth(self):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=5, min_samples_split=3), rng_of())
         # the 2-row children of the root may not split again
-        assert tree.nodes[tree.nodes[0].right].split is None
+        assert tree.is_leaf[tree.right[0]]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="matching n"):
@@ -136,24 +134,26 @@ class TestFitCart:
         # and no leaf sits deeper than max_depth
         rows = {0: np.arange(n)}
         depth = {0: 0}
-        for node_id, node in enumerate(tree.nodes):
+        for node_id in range(tree.value.size):
             idx = rows[node_id]
-            assert node.n_samples == len(idx)
-            assert node.value == pytest.approx(float(y[idx].mean()), rel=1e-12, abs=1e-12)
-            if node.split is None:
+            assert tree.n_samples[node_id] == len(idx)
+            want = float(y[idx].mean())
+            assert tree.value[node_id] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if tree.is_leaf[node_id]:
                 assert depth[node_id] <= max_depth
                 continue
-            mask = X[idx, node.split.feature] <= node.split.threshold
-            rows[node.left] = idx[mask]
-            rows[node.right] = idx[~mask]
-            depth[node.left] = depth[node.right] = depth[node_id] + 1
-            assert len(rows[node.left]) >= 1 and len(rows[node.right]) >= 1
+            left, right = tree.left[node_id], tree.right[node_id]
+            mask = X[idx, tree.feature[node_id]] <= tree.threshold[node_id]
+            rows[left] = idx[mask]
+            rows[right] = idx[~mask]
+            depth[left] = depth[right] = depth[node_id] + 1
+            assert len(rows[left]) >= 1 and len(rows[right]) >= 1
 
 
 class TestTraversal:
     def test_equality_routes_left(self):
         tree = fit_cart(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), CartParams(max_depth=1), rng_of())
-        assert tree.nodes[0].split.threshold == 0.5
+        assert tree.threshold[0] == 0.5
         assert tree_predict(tree, np.array([0.5])) == 0.0
         assert tree_predict(tree, np.array([0.50000001])) == 1.0
 
@@ -161,10 +161,9 @@ class TestTraversal:
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())
         path = decision_path(tree, np.array([1.0, 1.0]))
         assert path[0] == tree.root
-        assert tree.nodes[path[-1]].split is None
+        assert tree.is_leaf[path[-1]]
         for parent_id, child_id in zip(path, path[1:]):
-            parent = tree.nodes[parent_id]
-            assert child_id in (parent.left, parent.right)
+            assert child_id in (tree.left[parent_id], tree.right[parent_id])
 
     def test_d0_predictions(self):
         tree = fit_cart(D0_X, D0_Y, CartParams(max_depth=2), rng_of())

@@ -339,6 +339,15 @@ class TestVerify:
         ):
             assert f"{check}: ok" in out
         assert "all checks passed" in out
+        # No probe would pass the leaf-partition check with nothing checked.
+        for probes in ("0", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([
+                    "verify", "--model", str(model_json), "--data", str(data_csv),
+                    "--target", "y", "--probes", probes,
+                ])
+            assert excinfo.value.code == 2
+            assert f"must be at least 1, got {probes}" in capsys.readouterr().err
 
     def test_corrupted_node_value_fails(self, data_csv, model_json, tmp_path, capsys):
         payload = json.loads(model_json.read_text())
@@ -403,19 +412,34 @@ class TestModelFuzz:
         # ModelFormatError, or verify runs to a verdict. Anything else, such
         # as a stray TypeError, exit code 3 or a run past the deadline, is a
         # defect.
+        self.refused_or_verified(fuzz_files, draw, fields=1)
+
+    @given(draw=st.data())
+    @settings(max_examples=150, deadline=2000)
+    def test_two_or_three_mutated_fields_are_refused_or_verified(self, fuzz_files, draw):
+        self.refused_or_verified(fuzz_files, draw, fields=draw.draw(st.sampled_from([2, 3])))
+
+    @staticmethod
+    def refused_or_verified(fuzz_files, draw, fields: int):
         payload, data, mutant = fuzz_files
         payload = json.loads(json.dumps(payload))
-        *parents, key = draw.draw(st.sampled_from(list(_json_paths(payload))))
-        mutation = draw.draw(st.sampled_from(MUTATIONS))
-        owner = payload
-        for parent in parents:
-            owner = owner[parent]
-        if mutation is DELETE:
-            del owner[key]
-        else:
-            # A feature renamed to another string is a data mismatch, exit 3.
-            assume(not (isinstance(mutation, str) and isinstance(owner[key], str)))
-            owner[key] = mutation
+        paths = draw.draw(
+            st.lists(st.sampled_from(list(_json_paths(payload))), min_size=fields,
+                     max_size=fields, unique=True)
+        )
+        # Deepest and last first, so no mutation moves or removes the field
+        # a later one changes.
+        for *parents, key in sorted(paths, reverse=True):
+            mutation = draw.draw(st.sampled_from(MUTATIONS))
+            owner = payload
+            for parent in parents:
+                owner = owner[parent]
+            if mutation is DELETE:
+                del owner[key]
+            else:
+                # A feature renamed to another string is a data mismatch, exit 3.
+                assume(not (isinstance(mutation, str) and isinstance(owner[key], str)))
+                owner[key] = mutation
         mutant.write_text(json.dumps(payload))
         try:
             load_model(mutant)

@@ -78,7 +78,7 @@ class TestAdditiveIdentity:
         records = decision_contributions(ens, x)
         for t, tree in enumerate(ens.trees):
             mine = [r for r in records if r.tree_index == t]
-            walked = tree.nodes[tree.root].value + sum(r.residue for r in mine)
+            walked = tree.value[tree.root] + sum(r.residue for r in mine)
             from boostcontrib import tree_predict
 
             assert abs(walked - tree_predict(tree, x)) <= 1e-12
@@ -92,7 +92,7 @@ class TestAdditiveIdentity:
         ens = fit_gbdt(ds, GbdtParams(n_estimators=4, learning_rate=0.5, cart=CartParams(max_depth=2), seed=0))
         expected_bias = ens.f0
         for tree in ens.trees:
-            expected_bias += ens.learning_rate * tree.nodes[tree.root].value
+            expected_bias += ens.learning_rate * tree.value[tree.root]
         e = feature_contributions(ens, X[0])
         assert e.bias == expected_bias
 

@@ -12,9 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostcontrib import (
-    SplitDecision,
-    Tree,
-    TreeNode,
     batch_explain,
     decision_contributions,
     decision_space,
@@ -25,7 +22,7 @@ from boostcontrib import (
 )
 from boostcontrib import kernel
 from boostcontrib.oracle import naive_contributions
-from conftest import random_ensemble
+from conftest import random_ensemble, tree_of
 
 
 def bits(values) -> bytes:
@@ -43,10 +40,9 @@ def rows_with_ties(rng, ens, n_rows: int) -> np.ndarray:
     """Random rows, every other one moved exactly onto some split threshold."""
     X = rng.normal(size=(n_rows, ens.n_features))
     splits = [
-        (node.split.feature, node.split.threshold)
+        split
         for tree in ens.trees
-        for node in tree.nodes
-        if node.split is not None
+        for split in zip(tree.feature[~tree.is_leaf], tree.threshold[~tree.is_leaf])
     ]
     if splits:
         for i in range(0, n_rows, 2):
@@ -90,11 +86,11 @@ def test_threshold_ties_route_left():
     for _ in range(20):
         _, ens = random_ensemble(rng)
         for tree_index, tree in enumerate(ens.trees):
-            root = tree.nodes[tree.root]
-            if root.split is None:
+            root = tree.root
+            if tree.is_leaf[root]:
                 continue
             x = rng.normal(size=ens.n_features)
-            x[root.split.feature] = root.split.threshold
+            x[tree.feature[root]] = tree.threshold[root]
             first = next(
                 r for r in decision_contributions(ens, x) if r.tree_index == tree_index
             )
@@ -131,10 +127,6 @@ def test_empty_batch(d0_two_trees):
 
 def test_compile_rejects_a_cycle():
     # Node 1's right child points back at the root.
-    nodes = [
-        TreeNode(value=0.0, n_samples=3, split=SplitDecision(0, 0.5), left=1, right=2),
-        TreeNode(value=1.0, n_samples=2, split=SplitDecision(0, 0.2), left=2, right=0),
-        TreeNode(value=2.0, n_samples=1),
-    ]
+    tree = tree_of([(0.0, 3, 0, 0.5, 1, 2), (1.0, 2, 0, 0.2, 2, 0), (2.0, 1)])
     with pytest.raises(ValueError, match="do not form trees"):
-        kernel.FlatForest([Tree(nodes=nodes, root=0, n_features=1)], 0.1)
+        kernel.FlatForest([tree], 0.1)

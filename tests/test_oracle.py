@@ -1,18 +1,22 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostcontrib import feature_contributions
+from boostcontrib import Ensemble, batch_explain, feature_contributions, oracle
 from boostcontrib.oracle import (
     RegionBox,
     check_partition,
     count_containing_regions,
     enumerate_leaf_regions,
     naive_contributions,
+    naive_contributions_batch,
     sample_probes,
 )
-from conftest import random_ensemble
+from conftest import random_ensemble, tree_of
 
 
 class TestNaiveContributions:
@@ -36,6 +40,44 @@ class TestNaiveContributions:
     def test_dimension_check(self, d0_two_trees):
         with pytest.raises(ValueError, match="2 features"):
             naive_contributions(d0_two_trees, np.array([1.0]))
+        with pytest.raises(ValueError, match="2 features"):
+            naive_contributions(d0_two_trees, np.ones((1, 2)))
+        with pytest.raises(ValueError, match="2 features"):
+            naive_contributions_batch(d0_two_trees, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_is_bit_equal_to_the_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        ds, ens = random_ensemble(rng)
+        X = rng.uniform(-4, 4, size=(23, ds.n_features))
+        bias, contrib = naive_contributions_batch(ens, X)
+        for row, e in zip(contrib, batch_explain(ens, X)):
+            assert bias == e.bias
+            assert row.tobytes() == np.array(list(e.contributions.values())).tobytes()
+
+    def test_sums_tree_major_path_minor(self):
+        # Row 0.0 goes left twice in both trees. Tree 0 credits 1.0, then
+        # 1e-17; tree 1 credits -1.0, then 0.0. Tree by tree, 1.0 + 1e-17
+        # rounds to 1.0 and the sum is 0.0; step by step across the trees
+        # it would be 1e-17.
+        def chain(root, middle, leaf):
+            return tree_of([
+                (root, 3, 0, 0.5, 1, 4), (middle, 2, 0, 0.25, 2, 3), (leaf, 1), (0.0, 1), (0.0, 1),
+            ])
+
+        ens = Ensemble(0.0, 1.0, [chain(-1.0, 0.0, 1e-17), chain(1.0, 0.0, 0.0)], ("a",))
+        assert naive_contributions(ens, np.array([0.0]))[1].tolist() == [0.0]
+        assert feature_contributions(ens, np.array([0.0])).contributions == {"a": 0.0}
+
+    def test_uses_no_traversal_code(self):
+        # The recount is the independent reference: it must not reach the
+        # kernel, the contribution module or cart's walks.
+        syntax = ast.parse(inspect.getsource(oracle))
+        imports = [node for node in ast.walk(syntax) if isinstance(node, ast.ImportFrom)]
+        assert not {node.module for node in imports} & {"kernel", "contrib"}
+        names = {alias.name for node in imports for alias in node.names}
+        names |= {node.attr for node in ast.walk(syntax) if isinstance(node, ast.Attribute)}
+        assert not names & {"flat", "FlatForest", "decision_path", "tree_predict"}
 
 
 class TestRegionBox:
@@ -64,7 +106,7 @@ class TestLeafRegions:
 
     def test_one_region_per_leaf(self, d0_two_trees):
         for tree in d0_two_trees.trees:
-            n_leaves = sum(1 for node in tree.nodes if node.split is None)
+            n_leaves = int(tree.is_leaf.sum())
             assert len(enumerate_leaf_regions(tree)) == n_leaves
 
     def test_single_leaf_tree_covers_everything(self):
