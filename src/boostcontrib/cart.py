@@ -23,6 +23,13 @@ import numpy as np
 
 RELATIVE_TIE_TOLERANCE = 1e-12
 
+# Nodes with at least this many rows search column blocks sorted once per
+# fit (see _grow); smaller ones sort their own rows. Per node, on data of
+# 250x8, 2000x10 and 10000x20 (median of 15 timings, shared 2-core x86_64
+# machine), the block cost 4-14% more than sorting at 16-32 rows and 4-14%
+# less from 64 rows on, its lead growing with the node.
+PRESORT_MIN_ROWS = 64
+
 
 @dataclass(frozen=True)
 class CartParams:
@@ -120,40 +127,48 @@ def best_split(
     more candidates tie, keeping single-winner searches draw-free.
     """
     n = y.shape[0]
-    if n < 2:
+    if n < 2 or (y == y[0]).all():
         return None
-    if np.all(y == y[0]):
-        return None
+    order = X.argsort(axis=0, kind="stable")
+    return _search(X, y, order, float(y.sum()), float((y * y).sum()), rng, min_samples_leaf, min_gain)
 
-    total = float(y.sum())
-    total_sq = float((y * y).sum())
-    parent_sse = total_sq - total * total / n
 
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-
-    left_sum = np.cumsum(ys, axis=0)[:-1]
-    left_sq = np.cumsum(ys * ys, axis=0)[:-1]
+def _search(X, y, order, total, total_sq, rng, min_samples_leaf, min_gain):
+    """best_split over the rows of (X, y) that column j of `order` lists by
+    increasing X[:, j], ties by row. total and total_sq are the sums of y and
+    y * y over those rows, taken in row order. The (n, d) temporaries are
+    freed when it returns, before the caller grows any child."""
+    n = order.shape[0]
+    xs = X[order, np.arange(X.shape[1])]
+    ys = y[order][:-1]
+    left_sum = ys.cumsum(axis=0)
+    ys *= ys
+    left_sq = ys.cumsum(axis=0)
     n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
+    n_right = n_left[::-1]  # n - n_left, exactly, as the counts are integers
 
-    sse_left = left_sq - left_sum * left_sum / n_left
+    # sse = sum of squares - sum * sum / count, on each side of each candidate
     right_sum = total - left_sum
     right_sq = total_sq - left_sq
-    sse_right = right_sq - right_sum * right_sum / n_right
+    left_sum *= left_sum
+    left_sum /= n_left
+    left_sq -= left_sum
+    right_sum *= right_sum
+    right_sum /= n_right
+    right_sq -= right_sum
+    gain = (total_sq - total * total / n) - left_sq
+    gain -= right_sq
 
-    gain = parent_sse - sse_left - sse_right
-    valid = xs[:-1] != xs[1:]
-    valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    gain = np.where(valid, gain, -np.inf)
+    invalid = xs[:-1] == xs[1:]
+    if min_samples_leaf > 1:
+        invalid |= (n_left < min_samples_leaf) | (n_right < min_samples_leaf)
+    gain[invalid] = -np.inf
 
     best_gain = float(gain.max())
     if not best_gain > min_gain:
         return None
-
     tie_floor = best_gain - RELATIVE_TIE_TOLERANCE * abs(best_gain)
-    tie_rows, tie_cols = np.nonzero(gain >= tie_floor)
+    tie_rows, tie_cols = (gain >= tie_floor).nonzero()
     pick = 0 if tie_rows.shape[0] == 1 else int(rng.integers(tie_rows.shape[0]))
     i, feat = int(tie_rows[pick]), int(tie_cols[pick])
     threshold = float((xs[i, feat] + xs[i + 1, feat]) / 2.0)
@@ -172,6 +187,7 @@ def fit_cart(
     when a node has fewer than min_samples_split rows, or when best_split
     finds nothing. Node ids are assigned in preorder (left subtree first),
     so identical inputs and generator state reproduce the tree node by node.
+    Raises ValueError naming the first row of X or y that holds NaN or ±inf.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -179,38 +195,73 @@ def fit_cart(
         raise ValueError("X must be (n, d) and y (n,) with matching n")
     if y.shape[0] < 1:
         raise ValueError("need at least one sample")
+    _check_finite(np.column_stack([X, y]))
+    return _grow(X, y, X.argsort(axis=0, kind="stable"), params, rng)
 
+
+def _grow(X, y, order, params: CartParams, rng) -> Tree:
+    """fit_cart on finite float arrays, given `order`, X's stable argsort
+    along axis 0.
+
+    A node of PRESORT_MIN_ROWS rows or more searches its block: for each
+    column, the node's row ids in the order of `order`. That is the node's
+    rows sorted by (value, row), just as a stable argsort of X[rows] sorts
+    them, so the search sees the same sequences and grows the same tree bit
+    for bit. A child's block is its parent's block with the other child's
+    rows taken out of each column, which keeps that order without sorting.
+    """
+    d = X.shape[1]
+    rules = (params.min_samples_leaf, params.min_gain)
+    in_child = np.empty(X.shape[0], dtype=bool)
     feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
 
-    def build(X_node: np.ndarray, y_node: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, block, depth: int) -> int:
         node_id = len(value)
+        n = rows.shape[0]
+        y_node = y[rows]
+        total = float(y_node.sum())
         feature.append(0)
         threshold.append(0.0)
         left.append(node_id)
         right.append(node_id)
-        value.append(np.mean(y_node))
-        n_samples.append(y_node.shape[0])
-        if depth >= params.max_depth or y_node.shape[0] < params.min_samples_split:
+        value.append(total / n)  # np.mean's sum and division, so the same bits
+        n_samples.append(n)
+        if depth >= params.max_depth or n < params.min_samples_split or (y_node == y_node[0]).all():
             return node_id
-        found = best_split(
-            X_node,
-            y_node,
-            rng,
-            min_samples_leaf=params.min_samples_leaf,
-            min_gain=params.min_gain,
-        )
+        total_sq = float((y_node * y_node).sum())
+        if n < PRESORT_MIN_ROWS:
+            X_node = X[rows]
+            order_node = X_node.argsort(axis=0, kind="stable")
+            found = _search(X_node, y_node, order_node, total, total_sq, rng, *rules)
+        else:
+            found = _search(X, y, block, total, total_sq, rng, *rules)
         if found is None:
             return node_id
         split_feature, split_threshold, _gain = found
         feature[node_id], threshold[node_id] = split_feature, split_threshold
-        mask = X_node[:, split_feature] <= split_threshold
-        left[node_id] = build(X_node[mask], y_node[mask], depth + 1)
-        right[node_id] = build(X_node[~mask], y_node[~mask], depth + 1)
+        goes_left = X[rows, split_feature] <= split_threshold
+        children = []
+        for side in (goes_left, ~goes_left):
+            child_rows = rows[side]
+            child_block = None
+            if child_rows.shape[0] >= PRESORT_MIN_ROWS:
+                in_child[rows] = side
+                child_block = block.T[in_child[block].T].reshape(d, -1).T
+            children.append(build(child_rows, child_block, depth + 1))
+        left[node_id], right[node_id] = children
         return node_id
 
-    build(X, y, 0)
+    build(np.arange(X.shape[0]), order, 0)
     fields = (feature, threshold, left, right, value, n_samples)
-    return Tree(*map(np.array, fields), n_features=X.shape[1])
+    return Tree(*map(np.array, fields), n_features=d)
+
+
+def _check_finite(X) -> None:
+    """Refuse a 2-D array holding NaN or ±inf, naming the first such row.
+    NaN compares false with every threshold and would route right unnoticed."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} holds a non-finite value")
 
 
 def _check_matrix(owner, X) -> np.ndarray:
@@ -221,10 +272,7 @@ def _check_matrix(owner, X) -> np.ndarray:
         raise ValueError(
             f"expected shape (n, {owner.n_features}), got {X.shape}"
         )
-    # NaN compares false with every threshold and would route right unnoticed.
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"row {int(np.argmin(finite))} holds a non-finite value")
+    _check_finite(X)
     return X
 
 

@@ -97,12 +97,14 @@ class OutlierSample:
 def load_csv(path, target_column: str) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
-    The target column is removed from the features; remaining column order
-    is preserved. Every cell must parse as a real number ('.' decimal).
-    Row numbers in error messages are 1-based and include the header.
+    The file is read as UTF-8, with or without a byte-order mark. The target
+    column is removed from the features; remaining column order is
+    preserved. Every cell must parse as a real number ('.' decimal). Row
+    numbers in error messages are 1-based and include the header. Any
+    fault in the file raises DataError naming the path.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -138,6 +140,10 @@ def load_csv(path, target_column: str) -> Dataset:
                 rows.append(parsed)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     table = np.asarray(rows, dtype=np.float64)
@@ -145,7 +151,10 @@ def load_csv(path, target_column: str) -> Dataset:
     features = np.delete(table, target_idx, axis=1)
     target = table[:, target_idx]
     names = tuple(h for i, h in enumerate(header) if i != target_idx)
-    return Dataset(features, target, names)
+    try:
+        return Dataset(features, target, names)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def train_test_split(

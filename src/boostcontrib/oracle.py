@@ -18,6 +18,10 @@ import numpy as np
 from .boosting import Ensemble
 from .cart import Tree
 
+# Most probe x region x feature tests held at once by count_containing_regions:
+# each is one byte of a boolean temporary.
+CHUNK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class RegionBox:
@@ -91,7 +95,9 @@ def enumerate_leaf_regions(tree: Tree) -> list[tuple[RegionBox, float]]:
 
 
 def count_containing_regions(regions, probes) -> np.ndarray:
-    """How many regions contain each probe; exhaustive, no tree traversal."""
+    """How many regions contain each probe; exhaustive, no tree traversal.
+    Probes are taken in chunks of at most CHUNK_CELLS probe-region-feature
+    tests (at least one probe), which bounds the working memory."""
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2:
         raise ValueError(f"probes must be (n, d), got shape {probes.shape}")
@@ -99,10 +105,13 @@ def count_containing_regions(regions, probes) -> np.ndarray:
         return np.zeros(probes.shape[0], dtype=np.int64)
     lower = np.stack([box.lower for box, _value in regions])
     upper = np.stack([box.upper for box, _value in regions])
-    inside = (lower[None, :, :] < probes[:, None, :]) & (
-        probes[:, None, :] <= upper[None, :, :]
-    )
-    return inside.all(axis=2).sum(axis=1)
+    chunk = max(1, CHUNK_CELLS // max(1, lower.size))
+    counts = np.empty(probes.shape[0], dtype=np.int64)
+    for start in range(0, probes.shape[0], chunk):
+        p = probes[start : start + chunk, None, :]
+        inside = (lower[None, :, :] < p) & (p <= upper[None, :, :])
+        counts[start : start + chunk] = inside.all(axis=2).sum(axis=1)
+    return counts
 
 
 def check_partition(regions, probes) -> bool:

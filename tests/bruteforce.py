@@ -1,9 +1,12 @@
-"""Exhaustive-search reference for split finding, used to cross-check the
-vectorized implementation. Deliberately slow and obvious: every midpoint of
-every feature is tried with a fresh mask and two direct SSE computations.
+"""Slow references for split finding and tree growth, used to cross-check
+the vectorized implementation. Deliberately obvious: every midpoint of
+every feature is tried with a fresh mask and two direct SSE computations,
+and the reference grower searches each node's rows afresh.
 """
 
 import numpy as np
+
+from boostcontrib import best_split
 
 
 def sse(y: np.ndarray) -> float:
@@ -33,3 +36,32 @@ def enumerate_splits(X: np.ndarray, y: np.ndarray, min_samples_leaf: int = 1):
 def best_gain(X: np.ndarray, y: np.ndarray, min_samples_leaf: int = 1) -> float:
     candidates = enumerate_splits(X, y, min_samples_leaf)
     return max((g for _, _, g in candidates), default=float("-inf"))
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, params, rng) -> dict:
+    """fit_cart's tree, grown the slow way: public best_split on X[rows] at
+    every node, node values by np.mean, node ids in preorder. Returns the
+    per-node arrays by Tree field name."""
+    nodes = []  # [feature, threshold, left, right, value, n_samples] per node
+
+    def build(rows: np.ndarray, depth: int) -> int:
+        node = len(nodes)
+        nodes.append([0, 0.0, node, node, np.mean(y[rows]), rows.size])
+        if depth >= params.max_depth or rows.size < params.min_samples_split:
+            return node
+        found = best_split(
+            X[rows], y[rows], rng,
+            min_samples_leaf=params.min_samples_leaf, min_gain=params.min_gain,
+        )
+        if found is None:
+            return node
+        feature, threshold, _gain = found
+        goes_left = X[rows, feature] <= threshold
+        nodes[node][:2] = feature, threshold
+        nodes[node][2] = build(rows[goes_left], depth + 1)
+        nodes[node][3] = build(rows[~goes_left], depth + 1)
+        return node
+
+    build(np.arange(y.size), 0)
+    fields = ("feature", "threshold", "left", "right", "value", "n_samples")
+    return {field: np.array(column) for field, column in zip(fields, zip(*nodes))}

@@ -404,3 +404,18 @@ class TestPinnedModels:
         assert self.saved_sha256(model, tmp_path) == (
             "70da22a01f130208141b4b5499e0f6b4f5d1ccbca573f11f80debee05211e0f9"
         )
+
+    def test_tie_draws_on_both_sides_of_the_presort_cutoff(self, tmp_path):
+        # Rounded data with a duplicated column and non-default stopping rules:
+        # the fit breaks gain ties at random in nodes above and below
+        # cart.PRESORT_MIN_ROWS. Pinned before the presorted search existed.
+        ds = build_synthetic(n=400, d=4, seed=3)
+        X = np.round(ds.features, 1)
+        data = Dataset(
+            np.column_stack([X, X[:, 1]]), np.round(ds.target, 1), ("a", "b", "c", "d", "b2")
+        )
+        cart = CartParams(max_depth=6, min_samples_leaf=3, min_samples_split=6, min_gain=0.01)
+        params = GbdtParams(n_estimators=10, learning_rate=0.3, cart=cart, seed=7)
+        assert self.saved_sha256(fit_gbdt(data, params), tmp_path) == (
+            "464f338e1094399beba2355f4420e5434028cc6832a74ec5a28edb62f3f80953"
+        )

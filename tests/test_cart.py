@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from boostcontrib import CartParams, best_split, decision_path, fit_cart, tree_predict
+from boostcontrib import CartParams, best_split, cart, decision_path, fit_cart, tree_predict
 from conftest import D0_X, D0_Y
 
 
@@ -120,6 +122,18 @@ class TestFitCart:
         with pytest.raises(ValueError, match="matching n"):
             fit_cart(np.zeros((3, 2)), np.zeros(4), CartParams(max_depth=1), rng_of())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_input_raises(self, where, bad):
+        # A NaN target would give NaN node means; a NaN feature routes right.
+        X, y = D0_X.copy(), D0_Y.copy()
+        if where == "X":
+            X[2, 1] = bad
+        else:
+            y[2] = bad
+        with pytest.raises(ValueError, match="row 2 holds a non-finite value"):
+            fit_cart(X, y, CartParams(max_depth=2), rng_of())
+
     @given(seed=st.integers(0, 10_000), max_depth=st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_fitted_tree_invariants(self, seed, max_depth):
@@ -148,6 +162,68 @@ class TestFitCart:
             rows[right] = idx[~mask]
             depth[left] = depth[right] = depth[node_id] + 1
             assert len(rows[left]) >= 1 and len(rows[right]) >= 1
+
+
+def tied_data(seed):
+    """Rounded features, often with a duplicated column, and float targets:
+    ties in every column's order, exact gain ties, and node sums whose bits
+    depend on the order they are taken in."""
+    rng = rng_of(seed)
+    n = int(rng.integers(2, 150))
+    d = int(rng.integers(1, 4))
+    X = np.round(rng.normal(size=(n, d)), 1)
+    if d > 1 and rng.random() < 0.5:
+        X[:, -1] = X[:, 0]
+    y = 2.0 * X[:, 0] + rng.normal(size=n)
+    params = CartParams(
+        max_depth=int(rng.integers(1, 9)),
+        min_samples_leaf=int(rng.integers(1, 4)),
+        min_samples_split=int(rng.integers(2, 7)),
+        min_gain=float(rng.choice([0.0, 0.01])),
+    )
+    return X, y, params
+
+
+class TestPresortedGrowth:
+    """Nodes of cart.PRESORT_MIN_ROWS rows or more search column blocks
+    sorted once per fit; smaller nodes sort their own rows. Either way the
+    tree must be the one the slow reference grows, bit for bit."""
+
+    @pytest.mark.parametrize("path", ["presorted", "sorted per node"])
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference_grower(self, path, seed):
+        X, y, params = tied_data(seed)
+        cutoff = 2 if path == "presorted" else y.size + 1
+        with mock.patch.object(cart, "PRESORT_MIN_ROWS", cutoff):
+            tree = fit_cart(X, y, params, rng_of(seed))
+        want = bruteforce.grow_tree(X, y, params, rng_of(seed))
+        for field, array in want.items():
+            got = getattr(tree, field)
+            assert (got.dtype, got.tobytes()) == (array.dtype, array.tobytes()), field
+
+    @pytest.mark.parametrize("cutoff", [2, 16])
+    def test_search_sees_each_node_sorted_by_value_then_row(self, cutoff):
+        # The invariant behind bit-identical trees: whichever path a node
+        # takes, the search gets its rows sorted per column by (value, row)
+        # and its sums taken in row order.
+        rng = rng_of(5)
+        X = np.round(rng.normal(size=(300, 3)), 1)
+        X[:, 2] = X[:, 0]
+        y = X[:, 0] + rng.normal(size=300)
+        real, presorted = cart._search, []
+
+        def spy(X_rows, y_rows, order, total, total_sq, *rest):
+            rows = np.sort(order[:, 0])
+            assert np.array_equal(order, rows[X_rows[rows].argsort(axis=0, kind="stable")])
+            ys = y_rows[rows]
+            assert (total, total_sq) == (float(ys.sum()), float((ys * ys).sum()))
+            presorted.append(X_rows is X)
+            return real(X_rows, y_rows, order, total, total_sq, *rest)
+
+        with mock.patch.object(cart, "PRESORT_MIN_ROWS", cutoff), mock.patch.object(cart, "_search", spy):
+            fit_cart(X, y, CartParams(max_depth=8), rng_of(0))
+        assert any(presorted) and (cutoff == 2) == all(presorted)
 
 
 class TestTraversal:

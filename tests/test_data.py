@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from boostcontrib import (
@@ -76,6 +76,52 @@ class TestLoadCsv:
     def test_non_finite_cell(self, tmp_path):
         with pytest.raises(DataError, match="non-finite"):
             load_csv(write(tmp_path, "a,y\ninf,2\n"), "y")
+
+    def test_undecodable_bytes_name_the_path(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,y\n1,2\n\xff\xfe,3\n")
+        with pytest.raises(DataError, match="not UTF-8") as caught:
+            load_csv(path, "y")
+        assert str(path) in str(caught.value)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,a\n1,2\n")
+        ds = load_csv(path, "y")
+        assert ds.feature_names == ("a",) and ds.target.tolist() == [1.0]
+
+    def test_oversized_cell(self, tmp_path):
+        with pytest.raises(DataError, match="row 2: field larger"):
+            load_csv(write(tmp_path, "a,y\n" + "1" * 200_000 + ",2\n"), "y")
+
+    def test_dataset_faults_name_the_path(self, tmp_path):
+        path = write(tmp_path, "a,,y\n1,2,3\n")
+        with pytest.raises(DataError, match="names must be non-empty") as caught:
+            load_csv(path, "y")
+        assert str(path) in str(caught.value)
+
+    @given(
+        st.lists(
+            st.sampled_from([
+                b"a", b"y", b",", b"\n", b"\r\n", b"1", b"-2.5", b"nan", b"inf", b"-inf",
+                b"1e999", b"9" * 400, b"\x00", b"\xff\xfe", b"\xef\xbb\xbf", b'"', b" ",
+                b"x", b"a,y\n", b"a,a,y\n", b"1,2\n", b"1,2,3\n", b"\xc3\xa9",
+            ]),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_file_loads_or_raises_data_error(self, tmp_path, pieces):
+        # Ragged rows, a BOM, empty files, duplicate headers, nan and inf,
+        # huge numbers, NUL and undecodable bytes: load, or DataError only.
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(b"".join(pieces))
+        try:
+            ds = load_csv(path, "y")
+        except DataError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert np.isfinite(ds.features).all() and np.isfinite(ds.target).all()
 
 
 class TestDataset:

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ class TestPartition:
         counts = count_containing_regions(regions, probes)
         slow = [sum(1 for box, _ in regions if box.contains(x)) for x in probes]
         assert counts.tolist() == slow
+
+
+    @pytest.mark.parametrize("cells", [1, 840, 1 << 20])
+    def test_chunked_count_equals_one_pass(self, cells):
+        rng = np.random.default_rng(cells)
+        lower = rng.uniform(-2, 2, size=(40, 3))
+        upper = lower + rng.uniform(0, 2, size=(40, 3))
+        regions = [(RegionBox(lower=a, upper=b), 0.0) for a, b in zip(lower, upper)]
+        probes = rng.uniform(-3, 3, size=(101, 3))
+        inside = (lower[None] < probes[:, None]) & (probes[:, None] <= upper[None])
+        with mock.patch.object(oracle, "CHUNK_CELLS", cells):
+            counts = count_containing_regions(regions, probes)
+        assert counts.tolist() == inside.all(axis=2).sum(axis=1).tolist()
 
 
 class TestSampleProbes:
