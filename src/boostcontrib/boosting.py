@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, forest_depth
+from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, node_depths
 from .data import Dataset
 from .kernel import FlatForest
 
@@ -144,27 +144,33 @@ def feature_importance(ens: Ensemble) -> np.ndarray:
 NODE_KEYS = ("id", "value", "n_samples", "feature", "threshold", "left", "right")
 
 
-def _tree_to_dict(tree: Tree) -> dict:
-    split = (
-        np.where(tree.is_leaf, None, field).tolist()
-        for field in (tree.feature, tree.threshold, tree.left, tree.right)
-    )
-    columns = zip(range(tree.value.size), tree.value.tolist(), tree.n_samples.tolist(), *split)
-    return {"root": tree.root, "nodes": [dict(zip(NODE_KEYS, node)) for node in columns]}
+# A node as json.dump(payload, fh, indent=2) writes it in a model file.
+_NODE_TEXT = "        {\n" + ",\n".join(f'          "{key}": %s' for key in NODE_KEYS) + "\n        }"
+
+
+def _tree_text(tree: Tree) -> str:
+    """The tree as json.dump(payload, fh, indent=2) writes it in a model file.
+    That encoder is pure Python; each column here goes through json's C one."""
+    split = (np.where(tree.is_leaf, None, getattr(tree, key)) for key in NODE_KEYS[3:])
+    columns = (np.arange(tree.value.size), tree.value, tree.n_samples, *split)
+    cells = (json.dumps(column.tolist())[1:-1].split(", ") for column in columns)
+    nodes = ",\n".join(_NODE_TEXT % node for node in zip(*cells))
+    return f'    {{\n      "root": {tree.root},\n      "nodes": [\n{nodes}\n      ]\n    }}'
 
 
 def save_model(ens: Ensemble, path) -> None:
-    """Write the versioned JSON model file (full float round-trip precision)."""
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "f0": ens.f0,
-        "learning_rate": ens.learning_rate,
-        "feature_names": list(ens.feature_names),
-        "trees": [_tree_to_dict(tree) for tree in ens.trees],
-    }
+    """Write the versioned JSON model file (full float round-trip precision),
+    byte for byte as json.dump(payload, fh, indent=2) would. The text is
+    written a tree at a time, so no more than one tree's text is held."""
+    names = json.dumps(list(ens.feature_names), indent=2).replace("\n", "\n  ")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(
+            f'{{\n  "format_version": {MODEL_FORMAT_VERSION},\n'
+            f'  "f0": {json.dumps(ens.f0)},\n  "learning_rate": {json.dumps(ens.learning_rate)},\n'
+            f'  "feature_names": {names},\n  "trees": ['
+        )
+        fh.writelines(f"{',' if t else ''}\n{_tree_text(tree)}" for t, tree in enumerate(ens.trees))
+        fh.write("\n  ]\n}\n")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -228,7 +234,7 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
     tree.right[at] = positions(right)
     tree.root = positions([obj["root"]])[0]
     try:
-        forest_depth(tree.left, tree.right, np.array([tree.root]), ids)
+        node_depths(tree.left, tree.right, np.array([tree.root]), ids)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     left_n, right_n = n_samples[tree.left[at]], n_samples[tree.right[at]]

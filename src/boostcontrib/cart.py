@@ -77,11 +77,11 @@ class Tree:
         return self.left == np.arange(self.left.size)
 
 
-def forest_depth(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=None) -> int:
-    """The most levels below any of the roots in trees linked by `left` and
-    `right`. Raises ValueError, naming nodes by `ids` (default: positions),
-    unless every node is reached from the roots exactly once: no cycle, no
-    shared subtree, no orphan. Traversal relies on this to terminate."""
+def node_depths(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=None) -> np.ndarray:
+    """Per node, its number of levels below its root in trees linked by
+    `left` and `right`. Raises ValueError, naming nodes by `ids` (default:
+    positions), unless every node is reached from the roots exactly once: no
+    cycle, no shared subtree, no orphan. Traversal relies on this to terminate."""
     nodes = np.arange(left.size)
     names = nodes if ids is None else ids
     internal = nodes[(left != nodes) | (right != nodes)]
@@ -94,19 +94,19 @@ def forest_depth(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=Non
             "is reached twice from the root"
         )
     # Every node now has one link at most, so no level repeats a node.
-    reached = np.zeros(nodes.size, dtype=bool)
-    depth, level = -1, roots
+    depths = np.full(nodes.size, -1)
+    depth, level = 0, roots
     while level.size:
-        reached[level] = True
+        depths[level] = depth
         depth += 1
         level = level[left[level] != level]
         level = np.concatenate([left[level], right[level]])
-    if not reached.all():
+    if (depths < 0).any():
         raise ValueError(
-            f"tree nodes do not form trees: node id {names[np.argmin(reached)]} "
+            f"tree nodes do not form trees: node id {names[np.argmin(depths)]} "
             "is not reached from the root"
         )
-    return depth
+    return depths
 
 
 def best_split(
@@ -193,8 +193,8 @@ def fit_cart(
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, d) and y (n,) with matching n")
-    if y.shape[0] < 1:
-        raise ValueError("need at least one sample")
+    if y.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError("need at least one sample and one feature")
     _check_finite(np.column_stack([X, y]))
     return _grow(X, y, X.argsort(axis=0, kind="stable"), params, rng)
 

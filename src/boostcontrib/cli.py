@@ -9,6 +9,7 @@ or --check failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import sys
 from contextlib import contextmanager
@@ -26,7 +27,7 @@ from .boosting import (
     save_model,
 )
 from .cart import CartParams
-from .contrib import batch_explain, iter_decision_spaces
+from .contrib import _decision_bounds, _explain_arrays
 from .data import DataError, Dataset, load_csv, train_test_split
 from .experiments import (
     DEFAULT_NOISE_LEVELS,
@@ -78,51 +79,58 @@ def _write_csv(path, header, rows) -> None:
         write_csv(fh, header, rows)
 
 
-def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
-    """One line per traversed edge, in sample, tree, step order.
+def _write_lines(fh, first: int, tails_per_row) -> None:
+    """For row i = first, first + 1, ..., one line "i," + tail per tail of
+    the row; each tail ends its line."""
+    for i, tails in enumerate(tails_per_row, first):
+        if tails:
+            prefix = f"{i},"
+            fh.write(prefix + prefix.join(tails))
 
-    Everything after (sample, tree, step) depends only on the edge's child
-    node, so it is formatted once per node and reused by every row that
-    takes the edge. The lines are exactly what _write_csv would write for
-    the records of iter_decision_contributions.
-    """
+
+def _quoted(name: str) -> str:
+    """name as the csv module writes it in a cell."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="").writerow([name])
+    return text.getvalue()
+
+
+def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
+    """One line per traversed edge, in sample, tree, step order. What follows
+    the sample index depends only on the edge's child node, so it is
+    formatted once per node and reused by every row that takes the edge."""
     flat = model.flat
-    names = []
-    for name in model.feature_names:
-        quoted = io.StringIO()
-        write_csv(quoted, [name], ())
-        names.append(quoted.getvalue()[:-1])
+    names = list(map(_quoted, model.feature_names))
     child = np.flatnonzero(flat.parent != np.arange(flat.parent.size))  # roots end no edge
-    edge_text = dict(
-        zip(
-            child.tolist(),
-            (
-                f"{names[f]},{format_cell(t)},{'left' if went_left else 'right'},"
-                f"{format_cell(r)},{format_cell(sr)}"
-                for f, t, went_left, r, sr in zip(*flat.edge_fields(child))
-            ),
-        )
-    )
+    tree, step = flat.tree[child].tolist(), (flat.node_depth[child] - 1).tolist()
+    tails = np.empty(flat.parent.size, dtype=object)
+    tails[child] = [
+        f"{t},{s},{names[f]},{th!r},{'left' if went_left else 'right'},{r!r},{sr!r}\n"
+        for t, s, f, th, went_left, r, sr in zip(tree, step, *flat.edge_fields(child))
+    ]
     with _output(path) as fh:
         write_csv(fh, RECORD_HEADER, ())
         for rows, ids in flat.paths(X):
-            row, tree, step, _parent, child = flat.edges(ids)
-            fh.writelines(
-                f"{i},{t},{s},{edge_text[c]}\n"
-                for i, t, s, c in zip(
-                    (row + rows.start).tolist(), tree.tolist(), step.tolist(), child.tolist()
-                )
-            )
+            row, _tree, _step, _parent, child = flat.edges(ids)
+            edges = tails[child].tolist()
+            ends = np.cumsum(np.bincount(row, minlength=ids.shape[2])).tolist()
+            _write_lines(fh, rows.start, (edges[a:b] for a, b in zip([0, *ends], ends)))
 
 
-def _additivity_violation(explanations) -> str | None:
+def _additivity_violation(bias: float, contributions, predictions) -> str | None:
     """The first sample whose bias + contributions misses its prediction by
-    more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|), or None."""
-    for i, e in enumerate(explanations):
-        total = e.bias + sum(e.contributions.values())
-        if abs(e.prediction - total) > RELATIVE_IDENTITY_TOLERANCE * max(1.0, abs(e.prediction)):
-            return f"sample {i}: prediction {e.prediction!r} vs decomposition {total!r}"
-    return None
+    more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|), or None.
+    Each row is added up feature by feature from 0.0, then added to bias."""
+    total = np.zeros(predictions.shape)
+    for column in contributions.T:
+        total += column
+    total = bias + total
+    scale = np.maximum(1.0, np.abs(predictions))
+    off = np.abs(predictions - total) > RELATIVE_IDENTITY_TOLERANCE * scale
+    if not off.any():
+        return None
+    i = int(np.argmax(off))
+    return f"sample {i}: prediction {predictions[i].item()!r} vs decomposition {total[i].item()!r}"
 
 
 def _select_features(ds: Dataset, model: Ensemble) -> np.ndarray:
@@ -182,37 +190,30 @@ def cmd_explain(args) -> int:
     model = load_model(args.model)
     ds = load_csv(args.data, args.target)
     X = _select_features(ds, model)
-    explanations = batch_explain(model, X)
-
-    _write_csv(
-        args.out,
-        ["sample_index", "bias", *model.feature_names, "prediction"],
-        (
-            [i, e.bias, *(e.contributions[n] for n in model.feature_names), e.prediction]
-            for i, e in enumerate(explanations)
-        ),
-    )
-
+    bias, contributions, predictions = _explain_arrays(model, X)
+    # Floats go through repr, as format_cell writes every float, ±inf included.
+    table = np.column_stack([np.full(predictions.shape, bias), contributions, predictions])
+    with _output(args.out) as fh:
+        write_csv(fh, ["sample_index", "bias", *model.feature_names, "prediction"], ())
+        fh.writelines(f"{i},{','.join(map(repr, row))}\n" for i, row in enumerate(table.tolist()))
     if args.decision_records:
         _write_decision_records(args.decision_records, model, X)
-
     if args.decision_space:
-        _write_csv(
-            args.decision_space,
-            ["sample_index", "feature", "lower", "upper"],
-            (
-                [i, name, *space.intervals[name]]
-                for i, space in enumerate(iter_decision_spaces(model, X))
-                for name in model.feature_names
-            ),
-        )
+        lower, upper = _decision_bounds(model, X)
+        names = list(map(_quoted, model.feature_names))
+        with _output(args.decision_space) as fh:
+            write_csv(fh, ["sample_index", "feature", "lower", "upper"], ())
+            _write_lines(fh, 0, (
+                [f"{name},{lo!r},{hi!r}\n" for name, lo, hi in zip(names, los, his)]
+                for los, his in zip(lower.tolist(), upper.tolist())
+            ))
 
     if args.check:
-        violation = _additivity_violation(explanations)
+        violation = _additivity_violation(bias, contributions, predictions)
         if violation is not None:
             print(f"additivity violated at {violation}", file=sys.stderr)
             return 4
-        print(f"additivity holds for all {len(explanations)} samples", file=sys.stderr)
+        print(f"additivity holds for all {predictions.size} samples", file=sys.stderr)
     return 0
 
 
@@ -259,13 +260,12 @@ def _node_mean_violation(model: Ensemble) -> str | None:
     return None
 
 
-def _oracle_disagreement(model: Ensemble, X: np.ndarray, explanations) -> str | None:
+def _oracle_disagreement(model: Ensemble, X: np.ndarray, bias: float, contributions) -> str | None:
     """The first sample whose bias or contributions differ from the oracle's."""
-    bias, contributions = naive_contributions_batch(model, X)
-    for i, e in enumerate(explanations):
-        ours = [e.contributions[n] for n in model.feature_names]
-        if not (bias == e.bias and np.array_equal(contributions[i], ours)):
-            return f"sample {i} disagrees with recursive-descent recount"
+    oracle_bias, oracle_contributions = naive_contributions_batch(model, X)
+    differs = (oracle_contributions != contributions).any(axis=1) | (oracle_bias != bias)
+    if differs.any():
+        return f"sample {int(np.argmax(differs))} disagrees with recursive-descent recount"
     return None
 
 
@@ -280,13 +280,13 @@ def _partition_violation(model: Ensemble, probes: np.ndarray) -> str | None:
 def cmd_verify(args) -> int:
     model = load_model(args.model)
     X = _select_features(load_csv(args.data, args.target), model)
-    explanations = batch_explain(model, X)
+    bias, contributions, predictions = _explain_arrays(model, X)
     probes = sample_probes(X, args.probes, args.probe_seed)
     checks = [
-        ("additive_identity", _additivity_violation(explanations)),
+        ("additive_identity", _additivity_violation(bias, contributions, predictions)),
         ("telescoping", _telescoping_violation(model, X)),
         ("node_means", _node_mean_violation(model)),
-        ("oracle_equivalence", _oracle_disagreement(model, X, explanations)),
+        ("oracle_equivalence", _oracle_disagreement(model, X, bias, contributions)),
         ("leaf_partition", _partition_violation(model, probes)),
     ]
     for name, detail in checks:

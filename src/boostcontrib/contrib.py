@@ -82,26 +82,29 @@ def _features(ens: Ensemble, data) -> np.ndarray:
     return _check_matrix(ens, data.features if isinstance(data, Dataset) else data)
 
 
-def batch_explain(ens: Ensemble, data) -> list[Explanation]:
-    """feature_contributions for every row of a Dataset or (n, d) array."""
+def _explain_arrays(ens: Ensemble, data) -> tuple[float, np.ndarray, np.ndarray]:
+    """The bias, the (n, d) contributions in model feature order and the
+    (n,) predictions of every row of a Dataset or (n, d) array."""
     X = _features(ens, data)
     flat = ens.flat
     bias = ens.f0
     for root_value in flat.value[flat.roots].tolist():
         bias += ens.learning_rate * root_value
-    explanations = []
-    for _rows, ids in flat.paths(X):
-        predictions = ens.f0 + ens.learning_rate * flat.leaf_sum(ids)
-        contributions = flat.contributions(ids, ens.n_features)
-        for row, prediction in zip(contributions.tolist(), predictions.tolist()):
-            explanations.append(
-                Explanation(
-                    bias=bias,
-                    contributions=dict(zip(ens.feature_names, row)),
-                    prediction=prediction,
-                )
-            )
-    return explanations
+    contributions = np.empty(X.shape)
+    predictions = np.empty(X.shape[0])
+    for rows, ids in flat.paths(X):
+        predictions[rows] = ens.f0 + ens.learning_rate * flat.leaf_sum(ids)
+        contributions[rows] = flat.contributions(ids, ens.n_features)
+    return bias, contributions, predictions
+
+
+def batch_explain(ens: Ensemble, data) -> list[Explanation]:
+    """feature_contributions for every row of a Dataset or (n, d) array."""
+    bias, contributions, predictions = _explain_arrays(ens, data)
+    return [
+        Explanation(bias=bias, contributions=dict(zip(ens.feature_names, row)), prediction=p)
+        for row, p in zip(contributions.tolist(), predictions.tolist())
+    ]
 
 
 def feature_contributions(ens: Ensemble, x) -> Explanation:
@@ -131,21 +134,28 @@ def decision_contributions(ens: Ensemble, x) -> list[DecisionRecord]:
     return next(iter_decision_contributions(ens, _check_vector(ens, x)[None]))
 
 
-def iter_decision_spaces(ens: Ensemble, data) -> Iterator[DecisionSpace]:
-    """decision_space for every row, yielded one row at a time."""
+def _decision_bounds(ens: Ensemble, data) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) arrays lower and upper: row i's decision space along feature j
+    is (lower[i, j], upper[i, j]]."""
+    X = _features(ens, data)
     flat = ens.flat
     d = ens.n_features
-    for _rows, ids in flat.paths(_features(ens, data)):
-        n = ids.shape[2]
+    lower = np.full(X.shape, -np.inf)
+    upper = np.full(X.shape, np.inf)
+    for rows, ids in flat.paths(X):
         row, _tree, _step, parent, child = flat.edges(ids)
-        bins = flat.feature[parent] + row * d
+        bins = flat.feature[parent] + (row + rows.start) * d
         went_left = child == flat.left[parent]
-        lower = np.full(n * d, -np.inf)
-        upper = np.full(n * d, np.inf)
-        np.minimum.at(upper, bins[went_left], flat.threshold[parent[went_left]])
-        np.maximum.at(lower, bins[~went_left], flat.threshold[parent[~went_left]])
-        for lo, hi in zip(lower.reshape(n, d).tolist(), upper.reshape(n, d).tolist()):
-            yield DecisionSpace(intervals=dict(zip(ens.feature_names, zip(lo, hi))))
+        np.minimum.at(upper.reshape(-1), bins[went_left], flat.threshold[parent[went_left]])
+        np.maximum.at(lower.reshape(-1), bins[~went_left], flat.threshold[parent[~went_left]])
+    return lower, upper
+
+
+def iter_decision_spaces(ens: Ensemble, data) -> Iterator[DecisionSpace]:
+    """decision_space for every row, yielded one row at a time."""
+    lower, upper = _decision_bounds(ens, data)
+    for lo, hi in zip(lower.tolist(), upper.tolist()):
+        yield DecisionSpace(intervals=dict(zip(ens.feature_names, zip(lo, hi))))
 
 
 def decision_space(ens: Ensemble, x) -> DecisionSpace:

@@ -41,6 +41,8 @@ class Dataset:
             raise DataError("target must be a 1-D array")
         if features.shape[0] < 1:
             raise DataError("dataset must contain at least one row")
+        if features.shape[1] < 1:
+            raise DataError("dataset must contain at least one feature column")
         if target.shape[0] != features.shape[0]:
             raise DataError(
                 f"target length {target.shape[0]} != row count {features.shape[0]}"

@@ -33,7 +33,7 @@ import numpy as np
 
 from .boosting import Ensemble, GbdtParams, feature_importance, fit_gbdt
 from .cart import CartParams
-from .contrib import batch_explain, feature_contributions
+from .contrib import _explain_arrays, feature_contributions
 from .data import (
     Dataset,
     add_correlated_feature,
@@ -90,15 +90,6 @@ def dataset_fingerprint(ds: Dataset) -> str:
     h.update(np.ascontiguousarray(ds.features).tobytes())
     h.update(np.ascontiguousarray(ds.target).tobytes())
     return h.hexdigest()
-
-
-def _contribution_matrix(model: Ensemble, test: Dataset) -> np.ndarray:
-    """(n_test, n_features) per-sample contributions, model feature order."""
-    explanations = batch_explain(model, test)
-    return np.array(
-        [[e.contributions[name] for name in model.feature_names] for e in explanations],
-        dtype=np.float64,
-    )
 
 
 def select_base_feature(ds: Dataset, config: ExperimentConfig, seed: int) -> str:
@@ -167,8 +158,8 @@ def run_correlation_experiment(
         train_aug, test_aug = train_test_split(augmented, config.test_fraction, seed)
         model_orig = fit_gbdt(train_orig, config.gbdt_params(seed))
         model_aug = fit_gbdt(train_aug, config.gbdt_params(seed))
-        mat_orig = _contribution_matrix(model_orig, test_orig)
-        mat_aug = _contribution_matrix(model_aug, test_aug)
+        mat_orig = _explain_arrays(model_orig, test_orig)[1]
+        mat_aug = _explain_arrays(model_aug, test_aug)[1]
 
         rows.extend(_mean_rows((seed, "original"), ds.feature_names, mat_orig))
         rows.extend(_mean_rows((seed, "augmented"), augmented.feature_names, mat_aug))
@@ -232,7 +223,7 @@ def run_noise_experiment(
     for level, noise_seed in zip(levels, noise_seeds):
         noised = add_gaussian_noise(train, feature, level, int(noise_seed))
         model = fit_gbdt(noised, config.gbdt_params(seed))
-        matrix = _contribution_matrix(model, test)
+        matrix = _explain_arrays(model, test)[1]
         rows.extend(_mean_rows((seed, level), ds.feature_names, matrix))
 
     metadata = {

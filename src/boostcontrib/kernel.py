@@ -28,7 +28,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .cart import Tree, forest_depth
+from .cart import Tree, node_depths
 
 # Rows per block are chosen so one block's path array holds about this many
 # node ids. This bounds the kernel's working memory whatever the input size,
@@ -43,6 +43,7 @@ class FlatForest:
     Leaves keep :class:`~boostcontrib.cart.Tree`'s convention, feature 0
     and both children pointing at themselves, so a row that has reached
     its leaf stays there on later levels. Roots are their own parents.
+    `tree` and `node_depth` give each node's tree and its level in it.
     """
 
     def __init__(self, trees: list[Tree], learning_rate: float):
@@ -55,7 +56,9 @@ class FlatForest:
         self.right = np.concatenate([tree.right for tree in trees]) + shift
         self.value = np.concatenate([tree.value for tree in trees])
         self.roots = offsets + [tree.root for tree in trees]
-        self.depth = forest_depth(self.left, self.right, self.roots)
+        self.tree = np.repeat(np.arange(len(trees)), sizes)
+        self.node_depth = node_depths(self.left, self.right, self.roots)
+        self.depth = int(self.node_depth.max())
 
         internal = np.flatnonzero(self.left != np.arange(self.left.size))
         self.parent = np.arange(self.left.size)
@@ -135,6 +138,7 @@ class FlatForest:
         parent, child = ids[:, :-1], ids[:, 1:]
         weights = np.where(parent == child, 0.0, self.residue.take(child))
         bins = self.feature.take(parent) + np.arange(n) * n_features
+        # With no edge at all (every tree a leaf) bincount would return int64.
         return np.bincount(
             bins.ravel(), weights=weights.ravel(), minlength=n * n_features
-        ).reshape(n, n_features)
+        ).reshape(n, n_features).astype(np.float64, copy=False)

@@ -76,3 +76,15 @@ def tree_of(nodes, root: int = 0, n_features: int = 1) -> Tree:
         np.array(feature), np.array(threshold, dtype=float), np.array(left), np.array(right),
         np.array(value, dtype=float), np.array(n_samples), root=root, n_features=n_features,
     )
+
+
+def json_leaf(node_id, value, n_samples) -> dict:
+    """A leaf's entry in a model file's node list."""
+    return {"id": node_id, "value": value, "n_samples": n_samples,
+            "feature": None, "threshold": None, "left": None, "right": None}
+
+
+def json_split(node_id, value, n_samples, feature, threshold, left, right) -> dict:
+    """A split node's entry in a model file's node list."""
+    return {"id": node_id, "value": value, "n_samples": n_samples,
+            "feature": feature, "threshold": threshold, "left": left, "right": right}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from boostcontrib import (
     CartParams,
     Dataset,
+    Ensemble,
     GbdtParams,
     ModelFormatError,
     batch_explain,
@@ -24,10 +25,32 @@ from boostcontrib import (
     train_test_split,
 )
 from boostcontrib.experiments import OUTLIER_CONFIG
-from conftest import D0_X, build_synthetic, random_ensemble
+from conftest import D0_X, build_synthetic, random_ensemble, tree_of
 
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples")
+
+
+def json_dump_text(ens) -> str:
+    """The model file as json.dump(payload, fh, indent=2) writes it, with one
+    dict per node."""
+    trees = []
+    for tree in ens.trees:
+        nodes = []
+        for i in range(tree.value.size):
+            split = None if tree.is_leaf[i] else (
+                int(tree.feature[i]), float(tree.threshold[i]), int(tree.left[i]), int(tree.right[i])
+            )
+            nodes.append({
+                "id": i, "value": float(tree.value[i]), "n_samples": int(tree.n_samples[i]),
+                **dict(zip(("feature", "threshold", "left", "right"), split or (None,) * 4)),
+            })
+        trees.append({"root": int(tree.root), "nodes": nodes})
+    payload = {
+        "format_version": 1, "f0": ens.f0, "learning_rate": ens.learning_rate,
+        "feature_names": list(ens.feature_names), "trees": trees,
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def trees_equal(a, b) -> bool:
@@ -223,6 +246,29 @@ class TestPersistence:
         again = path.with_name("again.json")
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+        assert path.read_text() == json_dump_text(ens)
+
+    @pytest.mark.parametrize("names", [("x0", "x1"), ("naïve", 'q"t'), ("a,b", "\u2603 back\\slash")])
+    def test_text_is_what_json_dump_writes(self, names, tmp_path):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 2))
+        y = 3.0 * X[:, 0] + rng.normal(size=60)
+        ens = fit_gbdt(Dataset(X, y, names), GbdtParams(n_estimators=4, seed=1))
+        path = tmp_path / "m.json"
+        save_model(ens, path)
+        assert path.read_text() == json_dump_text(ens)
+        loaded = load_model(path)
+        save_model(loaded, path)
+        assert path.read_text() == json_dump_text(loaded)
+
+    def test_text_keeps_negative_zero(self, tmp_path):
+        tree = tree_of([(-0.0, 3, 0, -0.0, 2, 1), (1e22, 2), (-0.0, 1)])
+        ens = Ensemble(-0.0, 1.0, [tree], ("\u00e9",))
+        path = tmp_path / "m.json"
+        save_model(ens, path)
+        text = path.read_text()
+        assert text == json_dump_text(ens)
+        assert '"f0": -0.0' in text and '"threshold": -0.0' in text and "1e+22" in text
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):

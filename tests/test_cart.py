@@ -122,6 +122,11 @@ class TestFitCart:
         with pytest.raises(ValueError, match="matching n"):
             fit_cart(np.zeros((3, 2)), np.zeros(4), CartParams(max_depth=1), rng_of())
 
+    def test_zero_feature_columns_raise(self):
+        # There would be no split to search, not even a failing one.
+        with pytest.raises(ValueError, match="one feature"):
+            fit_cart(np.zeros((3, 0)), np.arange(3.0), CartParams(max_depth=2), rng_of())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["X", "y"])
     def test_non_finite_input_raises(self, where, bad):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from boostcontrib import (
     ModelFormatError,
+    batch_explain,
     cli,
     decision_contributions,
     feature_importance,
@@ -17,7 +18,7 @@ from boostcontrib import (
     load_model,
     predict_batch,
 )
-from conftest import build_synthetic
+from conftest import build_synthetic, json_leaf, json_split
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,17 @@ class TestTrain:
         ])
         assert code == 3
         assert "not found" in capsys.readouterr().err
+
+    def test_target_only_file_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "y.csv"
+        data.write_text("y\n1\n2\n3\n")
+        code = cli.main([
+            "train", "--data", str(data), "--target", "y", "--model-out", str(tmp_path / "m.json"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {data}: dataset must contain at least one feature column\n"
+        )
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = cli.main([
@@ -197,6 +209,36 @@ class TestExplain:
             "--decision-space": "360eb8cd97904b63b86d5514a3ea7cd705790f3f84d9a2a5e6dcb51d7ee1cd1b",
         }
 
+    def test_single_leaf_model_writes_float_zeros(self, tmp_path):
+        # Every tree is a single leaf, so no row takes an edge: the
+        # contributions are 0.0, a float, as for any untouched feature.
+        const = tmp_path / "const.csv"
+        const.write_text("a,y\n1.0,5.0\n2.0,5.0\n")
+        model, out, records = tmp_path / "m.json", tmp_path / "e.csv", tmp_path / "r.csv"
+        assert cli.main([
+            "train", "--data", str(const), "--target", "y", "--no-split",
+            "--n-estimators", "2", "--model-out", str(model),
+        ]) == 0
+        assert cli.main([
+            "explain", "--model", str(model), "--data", str(const), "--target", "y",
+            "--out", str(out), "--decision-records", str(records),
+        ]) == 0
+        assert out.read_text() == "sample_index,bias,a,prediction\n0,5.0,0.0,5.0\n1,5.0,0.0,5.0\n"
+        assert records.read_text() == ",".join(cli.RECORD_HEADER) + "\n"
+        explanation = batch_explain(load_model(model), np.array([[1.0]]))[0]
+        assert type(explanation.contributions["a"]) is float
+
+    def test_identity_total_adds_features_in_order(self):
+        # With nine features numpy's pairwise C.sum(axis=1) adds in another
+        # order than bias + (((0.0 + c0) + c1) + ...), and gets another total.
+        contributions = np.array([[1.0] + [1e-16] * 8])
+        sequential = 0.0
+        for c in contributions[0].tolist():
+            sequential += c
+        assert contributions.sum(axis=1)[0] != sequential
+        detail = cli._additivity_violation(0.5, contributions, np.array([3.0]))
+        assert detail == f"sample 0: prediction 3.0 vs decomposition {0.5 + sequential!r}"
+
     def test_missing_feature_column_is_a_data_error(self, model_json, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,y\n1.0,2.0\n")
@@ -261,16 +303,6 @@ class TestImportance:
         capsys.readouterr()
 
 
-def _leaf(node_id, value, n_samples):
-    return {"id": node_id, "value": value, "n_samples": n_samples,
-            "feature": None, "threshold": None, "left": None, "right": None}
-
-
-def _split(node_id, value, n_samples, feature, threshold, left, right):
-    return {"id": node_id, "value": value, "n_samples": n_samples,
-            "feature": feature, "threshold": threshold, "left": left, "right": right}
-
-
 # Two trees whose node counts add up. Tree 1 nests a 1e20 node under its
 # root, listed third, so rows with a > 0.5 lose their leaf value to
 # cancellation when the residues are added up: the identity, telescoping
@@ -279,9 +311,9 @@ def _split(node_id, value, n_samples, feature, threshold, left, right):
 CANCELLING_MODEL = {
     "format_version": 1, "f0": 0.5, "learning_rate": 0.5, "feature_names": ["a", "b"],
     "trees": [
-        {"root": 0, "nodes": [_split(0, 0.5, 4, 1, 0.5, 1, 2), _leaf(1, 0.0, 2), _leaf(2, 1.0, 2)]},
-        {"root": 0, "nodes": [_leaf(1, 0.0, 2), _leaf(3, 1.0, 1), _split(0, 0.0, 4, 0, 0.5, 1, 2),
-                              _split(2, 1e20, 2, 1, 0.5, 3, 4), _leaf(4, 3.0, 1)]},
+        {"root": 0, "nodes": [json_split(0, 0.5, 4, 1, 0.5, 1, 2), json_leaf(1, 0.0, 2), json_leaf(2, 1.0, 2)]},
+        {"root": 0, "nodes": [json_leaf(1, 0.0, 2), json_leaf(3, 1.0, 1), json_split(0, 0.0, 4, 0, 0.5, 1, 2),
+                              json_split(2, 1e20, 2, 1, 0.5, 3, 4), json_leaf(4, 3.0, 1)]},
     ],
 }
 

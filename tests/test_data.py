@@ -57,6 +57,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(write(tmp_path, "a,y\n"), "y")
 
+    def test_target_only_names_the_path(self, tmp_path):
+        path = write(tmp_path, "y\n1\n2\n3\n")
+        with pytest.raises(DataError, match=f"^{path}: .*at least one feature column"):
+            load_csv(path, "y")
+
     def test_missing_target(self, tmp_path):
         with pytest.raises(DataError, match="target column 'z' not found"):
             load_csv(write(tmp_path, "a,y\n1,2\n"), "z")
@@ -153,6 +158,10 @@ class TestDataset:
     def test_rejects_empty_name(self):
         with pytest.raises(DataError, match="non-empty"):
             Dataset(np.array([[1.0]]), np.array([1.0]), ("",))
+
+    def test_rejects_zero_feature_columns(self):
+        with pytest.raises(DataError, match="at least one feature column"):
+            Dataset(np.empty((3, 0)), np.ones(3), ())
 
     def test_rejects_zero_rows(self):
         with pytest.raises(DataError, match="at least one row"):

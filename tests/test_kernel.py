@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostcontrib import (
+    Ensemble,
     batch_explain,
     decision_contributions,
     decision_space,
@@ -117,6 +118,14 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     )
     assert bits(blocked[0]) == bits(whole[0])
     assert blocked[1:] == whole[1:]
+
+
+def test_contributions_are_floats_when_no_row_takes_an_edge():
+    # np.bincount over no edge at all returns int64.
+    ens = Ensemble(0.5, 0.1, [tree_of([(1.0, 3)]), tree_of([(2.0, 3)])], ("a",))
+    (_rows, ids), = ens.flat.paths(np.zeros((2, 1)))
+    contributions = ens.flat.contributions(ids, 1)
+    assert contributions.dtype == np.float64 and contributions.tolist() == [[0.0], [0.0]]
 
 
 def test_empty_batch(d0_two_trees):
