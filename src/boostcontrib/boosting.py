@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, node_depths
+from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, _presort, node_depths
 from .data import Dataset
 from .kernel import FlatForest
 
@@ -74,14 +74,14 @@ def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
     Every tree is grown as fit_cart grows it, from one sort of the columns;
     ds is already checked, so its rows are not checked again per tree."""
     X = ds.features
-    order = X.argsort(axis=0, kind="stable")
+    presorted = _presort(X)
     f0 = float(np.mean(ds.target))
     running = np.full(ds.n_samples, f0, dtype=np.float64)
     trees: list[Tree] = []
     for l in range(1, params.n_estimators + 1):
         residual = ds.target - running
         rng = np.random.default_rng([params.seed, l])
-        tree = _grow(X, residual, order, params.cart, rng)
+        tree = _grow(residual, presorted, params.cart, rng)
         flat = FlatForest([tree], params.learning_rate)
         for rows, ids in flat.paths(X):
             running[rows] = running[rows] + params.learning_rate * flat.leaf_sum(ids)

@@ -8,7 +8,8 @@ equivalence, which makes the conventions here load-bearing:
 
 * a sample goes LEFT iff x[feature] <= threshold (equality routes left);
 * candidate thresholds are midpoints between consecutive distinct sorted
-  feature values;
+  feature values, or the lower value where the midpoint rounds up to the
+  higher one or overflows, so the test always separates the two;
 * split quality is the absolute SSE reduction
   SSE(parent) - SSE(left) - SSE(right);
 * gains tying the maximum within 1e-12 relative are broken uniformly at
@@ -18,17 +19,17 @@ equivalence, which makes the conventions here load-bearing:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 RELATIVE_TIE_TOLERANCE = 1e-12
 
-# Nodes with at least this many rows search column blocks sorted once per
-# fit (see _grow); smaller ones sort their own rows. Per node, on data of
-# 250x8, 2000x10 and 10000x20 (median of 15 timings, shared 2-core x86_64
-# machine), the block cost 4-14% more than sorting at 16-32 rows and 4-14%
-# less from 64 rows on, its lead growing with the node.
-PRESORT_MIN_ROWS = 64
+# Padding a node's search to a larger node's size costs this many (row,
+# feature) cells at most, per search call saved (see _runs). A call's fixed
+# cost is that of about 2000 cells: fitted on 4-128-row nodes with 8, 10 and
+# 20 features, shared 2-core x86_64 machine.
+PAD_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,8 @@ def best_split(
 
     Returns (feature, threshold, gain) or None when no candidate clears
     min_gain. Candidates are midpoints between consecutive distinct sorted
-    values per feature; splits leaving fewer than min_samples_leaf rows on
+    values per feature, or the lower value where the midpoint does not lie
+    below the higher one; splits leaving fewer than min_samples_leaf rows on
     either side are excluded. Ties within 1e-12 relative of the maximum
     are resolved uniformly at random; rng is consulted only when two or
     more candidates tie, keeping single-winner searches draw-free.
@@ -129,23 +131,46 @@ def best_split(
     n = y.shape[0]
     if n < 2 or (y == y[0]).all():
         return None
-    order = X.argsort(axis=0, kind="stable")
-    return _search(X, y, order, float(y.sum()), float((y * y).sum()), rng, min_samples_leaf, min_gain)
+    Xt = np.ascontiguousarray(X.T)
+    slab = Xt.argsort(axis=1, kind="stable")[:, None]
+    _node, i, feature, low, high, gain = _search(
+        Xt, y, slab, np.array([float(n)]), y.sum()[None], (y * y).sum()[None], min_samples_leaf, min_gain
+    )
+    if not i.size:
+        return None
+    pick = 0 if i.size == 1 else int(rng.integers(i.size))
+    return int(feature[pick]), float(_threshold(low[pick], high[pick])), float(gain[0, i[pick], feature[pick]])
 
 
-def _search(X, y, order, total, total_sq, rng, min_samples_leaf, min_gain):
-    """best_split over the rows of (X, y) that column j of `order` lists by
-    increasing X[:, j], ties by row. total and total_sq are the sums of y and
-    y * y over those rows, taken in row order. The (n, d) temporaries are
-    freed when it returns, before the caller grows any child."""
-    n = order.shape[0]
-    xs = X[order, np.arange(X.shape[1])]
-    ys = y[order][:-1]
-    left_sum = ys.cumsum(axis=0)
+def _search(Xt, y, slab, counts, total, total_sq, min_samples_leaf, min_gain):
+    """best_split over k nodes at once, without the draw.
+
+    Xt is X transposed, C-contiguous. slab is a (d, k, m) array of row ids:
+    slab[j, q] lists node q's counts[q] rows by increasing Xt[j], ties by
+    row, then repeats its last row up to m. counts is a float array; total
+    and total_sq are the (k,) sums of y and y * y over each node's rows,
+    taken in row order. Every step is elementwise or runs along one node's
+    run, and the padding only follows a run, so each node's candidates get
+    the bits a search of its rows alone would; the repeats tie their values
+    and are never valid.
+
+    Returns (node, i, feature, low, high), one entry per candidate whose
+    gain ties its node's maximum, for the nodes whose maximum clears
+    min_gain, ordered by node, then i, then feature: the order best_split
+    draws from. Candidate (i, feature) sends the first i + 1 rows of
+    slab[feature, node] left; low and high are the values at i and i + 1.
+    Last comes the (k, m - 1, d) array of gains, -inf where invalid.
+    """
+    d, k, m = slab.shape
+    rows = slab.transpose(1, 2, 0)
+    xs = Xt.take(rows + np.arange(0, Xt.size, Xt.shape[1]))
+    ys = y.take(rows[:, :-1])
+    left_sum = ys.cumsum(axis=1)
     ys *= ys
-    left_sq = ys.cumsum(axis=0)
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n_left[::-1]  # n - n_left, exactly, as the counts are integers
+    left_sq = ys.cumsum(axis=1)
+    n_left = np.arange(1, m, dtype=np.float64)[:, None]
+    n, total, total_sq = counts[:, None, None], total[:, None, None], total_sq[:, None, None]
+    n_right = np.maximum(n - n_left, 1.0)  # n - n_left wherever a candidate is valid
 
     # sse = sum of squares - sum * sum / count, on each side of each candidate
     right_sum = total - left_sum
@@ -159,20 +184,27 @@ def _search(X, y, order, total, total_sq, rng, min_samples_leaf, min_gain):
     gain = (total_sq - total * total / n) - left_sq
     gain -= right_sq
 
-    invalid = xs[:-1] == xs[1:]
+    invalid = xs[:, :-1] == xs[:, 1:]
     if min_samples_leaf > 1:
         invalid |= (n_left < min_samples_leaf) | (n_right < min_samples_leaf)
     gain[invalid] = -np.inf
 
-    best_gain = float(gain.max())
-    if not best_gain > min_gain:
-        return None
-    tie_floor = best_gain - RELATIVE_TIE_TOLERANCE * abs(best_gain)
-    tie_rows, tie_cols = (gain >= tie_floor).nonzero()
-    pick = 0 if tie_rows.shape[0] == 1 else int(rng.integers(tie_rows.shape[0]))
-    i, feat = int(tie_rows[pick]), int(tie_cols[pick])
-    threshold = float((xs[i, feat] + xs[i + 1, feat]) / 2.0)
-    return feat, threshold, float(gain[i, feat])
+    best = np.maximum.reduce(gain, axis=(1, 2))
+    floor = np.where(best > min_gain, best - RELATIVE_TIE_TOLERANCE * np.abs(best), np.inf)
+    tie = (gain >= floor[:, None, None]).ravel().nonzero()[0]
+    node, at = divmod(tie, (m - 1) * d)
+    i, feature = divmod(at, d)
+    cell = tie + node * d  # (node, i, feature) in xs
+    return node, i, feature, xs.take(cell), xs.take(cell + d), gain
+
+
+def _threshold(low, high):
+    """The split point between consecutive distinct values low < high: their
+    midpoint, or low where the midpoint rounds up to high or overflows. So
+    x <= threshold holds exactly for the values up to low."""
+    with np.errstate(over="ignore"):
+        mid = (low + high) / 2.0
+    return np.where((low <= mid) & (mid < high), mid, low)
 
 
 def fit_cart(
@@ -183,7 +215,7 @@ def fit_cart(
 ) -> Tree:
     """Grow a tree by recursive best-split partitioning of (X, y).
 
-    The root holds the mean of all targets; recursion stops at max_depth,
+    The root holds the mean of all targets; growth stops at max_depth,
     when a node has fewer than min_samples_split rows, or when best_split
     finds nothing. Node ids are assigned in preorder (left subtree first),
     so identical inputs and generator state reproduce the tree node by node.
@@ -196,64 +228,258 @@ def fit_cart(
     if y.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("need at least one sample and one feature")
     _check_finite(np.column_stack([X, y]))
-    return _grow(X, y, X.argsort(axis=0, kind="stable"), params, rng)
+    return _grow(y, _presort(X), params, rng)
 
 
-def _grow(X, y, order, params: CartParams, rng) -> Tree:
-    """fit_cart on finite float arrays, given `order`, X's stable argsort
-    along axis 0.
+def _presort(X):
+    """What growing any tree on X starts from: X transposed, the root's
+    block (see _Grower) and, per column, the first column whose candidates
+    always split a node's rows as its own do, because both order the rows
+    alike and tie the same neighbours (a column and its increasing copy)."""
+    Xt = np.ascontiguousarray(X.T)
+    order = Xt.argsort(axis=1, kind="stable")
+    ties = np.take_along_axis(Xt, order, axis=1)
+    ties = ties[:, 1:] == ties[:, :-1]
+    first = {}
+    same_as = [first.setdefault(o.tobytes() + t.tobytes(), j) for j, (o, t) in enumerate(zip(order, ties))]
+    return Xt, np.concatenate([order, np.arange(X.shape[0])[None]]), same_as
 
-    A node of PRESORT_MIN_ROWS rows or more searches its block: for each
-    column, the node's row ids in the order of `order`. That is the node's
-    rows sorted by (value, row), just as a stable argsort of X[rows] sorts
-    them, so the search sees the same sequences and grows the same tree bit
-    for bit. A child's block is its parent's block with the other child's
-    rows taken out of each column, which keeps that order without sorting.
+
+def _grow(y, presorted, params: CartParams, rng) -> Tree:
+    """fit_cart on finite float arrays, given _presort(X)."""
+    Xt, block, same_as = presorted
+    grower = _Grower(Xt, y, params, same_as)
+    root = grower.grow(block, [y.size], 0)
+    return grower.walk(root, rng)
+
+
+_LEAF_CANDIDATE = np.zeros((3, 1))  # feature, low, high
+
+
+class _Grower:
+    """One tree grown level by level, then numbered by a preorder walk.
+
+    The tree is the one a depth-first recursion grows that calls best_split
+    on each node's rows, draws as it goes and numbers nodes in preorder.
+    A level's nodes are runs of one block: for j < d, row j of the block
+    lists each node's rows sorted by (X[:, j], row), as a stable argsort
+    of the node's own rows orders them, and row d lists them in increasing
+    order. Splitting a level keeps those orders (`_partition`), so nothing
+    is sorted after the first level. Each node's sums are taken as one row
+    of a (k, n) array of all the level's nodes of its size, which gives the
+    node's own bits. Nodes of similar sizes are searched together, padded
+    (`_runs`).
+
+    The rng waits for the walk, which draws at each tied node in the order
+    the recursion would. A tied node whose candidates all split its rows
+    into the same two sets has its children grown with the level; the draw
+    only picks the split and which child is left. A tied node whose
+    candidates split its rows differently is held: it stays a leaf until
+    the walk has drawn its split (`_grow_held`).
+
+    Nodes are "records" here, numbered as they are grown. Per record, the
+    walk reads `n_cand` candidates from `first` on, and the children `left`
+    and `right` of the first candidate's split, -1 at a leaf or a held node.
+    Candidates are numbered as found; `cands` keeps their features and the
+    values `low` and `high` their thresholds lie between, a search at a
+    time. `swaps` holds the candidates that swap their node's children, and
+    `held` what a held node's growth needs.
     """
-    d = X.shape[1]
-    rules = (params.min_samples_leaf, params.min_gain)
-    in_child = np.empty(X.shape[0], dtype=bool)
-    feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
 
-    def build(rows: np.ndarray, block, depth: int) -> int:
-        node_id = len(value)
-        n = rows.shape[0]
-        y_node = y[rows]
-        total = float(y_node.sum())
-        feature.append(0)
-        threshold.append(0.0)
-        left.append(node_id)
-        right.append(node_id)
-        value.append(total / n)  # np.mean's sum and division, so the same bits
-        n_samples.append(n)
-        if depth >= params.max_depth or n < params.min_samples_split or (y_node == y_node[0]).all():
-            return node_id
-        total_sq = float((y_node * y_node).sum())
-        if n < PRESORT_MIN_ROWS:
-            X_node = X[rows]
-            order_node = X_node.argsort(axis=0, kind="stable")
-            found = _search(X_node, y_node, order_node, total, total_sq, rng, *rules)
-        else:
-            found = _search(X, y, block, total, total_sq, rng, *rules)
-        if found is None:
-            return node_id
-        split_feature, split_threshold, _gain = found
-        feature[node_id], threshold[node_id] = split_feature, split_threshold
-        goes_left = X[rows, split_feature] <= split_threshold
-        children = []
-        for side in (goes_left, ~goes_left):
-            child_rows = rows[side]
-            child_block = None
-            if child_rows.shape[0] >= PRESORT_MIN_ROWS:
-                in_child[rows] = side
-                child_block = block.T[in_child[block].T].reshape(d, -1).T
-            children.append(build(child_rows, child_block, depth + 1))
-        left[node_id], right[node_id] = children
-        return node_id
+    def __init__(self, Xt, y, params: CartParams, same_as):
+        self.Xt = Xt
+        self.y = y
+        self.params = params
+        self.same_as = same_as
+        self.side = np.empty(y.size, dtype=np.int8)  # per row: 0 left, 1 right, 2 stays
+        self.value, self.n_samples, self.n_cand, self.first, self.left, self.right = [], [], [], [], [], []
+        self.cands, self.n_stored = [], 0
+        self.swaps, self.held = set(), {}
 
-    build(np.arange(X.shape[0]), order, 0)
-    fields = (feature, threshold, left, right, value, n_samples)
-    return Tree(*map(np.array, fields), n_features=d)
+    def grow(self, block, counts, depth) -> int:
+        """Grow the nodes that `block` lists, counts[q] rows for node q, at
+        `depth`, and all their descendants; return the first one's record,
+        which the others follow."""
+        first = len(self.n_cand)
+        while counts:
+            block, counts = self._level(block, counts, depth)
+            depth += 1
+        return first
+
+    def _level(self, block, counts, depth):
+        """Record one level's nodes; return the next level's block and
+        counts, or (None, []) after the last level."""
+        params, side, d = self.params, self.side, block.shape[0] - 1
+        size, base, c0 = len(counts), len(self.n_cand), self.n_stored
+        starts = list(accumulate(counts, initial=0))
+        y_rows = self.y.take(block[d])
+        searched = []  # (size, node) of each node to search: its targets differ
+        if depth < params.max_depth:
+            live = np.maximum.reduceat(y_rows, starts[:-1]) > np.minimum.reduceat(y_rows, starts[:-1])
+            searched = sorted(
+                (n, q) for q, (n, differ) in enumerate(zip(counts, live.tolist()))
+                if differ and n >= params.min_samples_split
+            )
+        total, total_sq = [0.0] * size, [0.0] * size
+        by_size = {}
+        for q, n in enumerate(counts):
+            by_size.setdefault(n, []).append(q)
+        for n, nodes in by_size.items():
+            if len(nodes) == 1:
+                y_nodes = y_rows[starts[nodes[0]]:starts[nodes[0]] + n].reshape(1, n)
+            else:
+                y_nodes = y_rows.take(np.add.outer([starts[q] for q in nodes], np.arange(n)))
+            for q, t in zip(nodes, np.add.reduce(y_nodes, axis=1).tolist()):
+                total[q] = t
+            if searched and n >= params.min_samples_split:
+                for q, t in zip(nodes, np.add.reduce(y_nodes * y_nodes, axis=1).tolist()):
+                    total_sq[q] = t
+        self.value += [t / n for t, n in zip(total, counts)]  # np.mean's sum and division
+        self.n_samples += counts
+        self.n_cand += [0] * size
+        self.first += [-1] * size
+        self.left += [-1] * size
+        self.right += [-1] * size
+
+        n_left, f_left, tied, level_i, level_f = {}, {}, [], [], []
+        for run in _runs(searched, d):
+            width = run[-1][0]
+            if len(run) == 1:
+                slab = block[:d, starts[run[0][1]]:starts[run[0][1]] + width].reshape(d, 1, width)
+            else:  # each node's run, then its last row repeated up to the width
+                pos = np.add.outer([starts[q] for _, q in run], np.arange(width))
+                slab = block[:d].take(np.minimum(pos, pos[:, :1] + [[n - 1] for n, _ in run]), axis=1)
+            node, i, f, low, high, _gain = _search(
+                self.Xt, self.y, slab, *np.array([(n, total[q], total_sq[q]) for n, q in run]).T,
+                params.min_samples_leaf, params.min_gain,
+            )
+            self.cands.append(np.array([f, low, high]))
+            i, f = i.tolist(), f.tolist()
+            for c, (q, i_c, f_c) in enumerate(zip(node.tolist(), i, f), start=self.n_stored):
+                q = run[q][1]
+                if not self.n_cand[base + q]:
+                    self.first[base + q] = c
+                    n_left[q], f_left[q] = i_c + 1, f_c
+                elif i_c + 1 != n_left[q] or self.same_as[f_c] != self.same_as[f_left[q]]:
+                    tied.append(q)  # may split the rows another way
+                self.n_cand[base + q] += 1
+            self.n_stored += len(i)
+            level_i += i
+            level_f += f
+        if not n_left:
+            return None, []
+
+        # Each split node's rows go right, but for its first candidate's left rows.
+        side[block[d]] = 2
+        for q, rows_left in n_left.items():
+            side[block[d, starts[q]:starts[q + 1]]] = 1
+            side[block[f_left[q], starts[q]:starts[q] + rows_left]] = 0
+        if tied:
+            self._check_ties(block, starts, counts, set(tied), n_left, level_i, level_f, c0, base, depth)
+        split = sorted(n_left)
+        for at, q in enumerate(split):
+            self.left[base + q] = base + size + at
+            self.right[base + q] = base + size + len(split) + at
+        if not split:  # every split was held
+            return None, []
+        lefts = [n_left[q] for q in split]
+        if depth + 1 == params.max_depth:
+            block = block[d:]  # the children are leaves: only their sums are taken
+        return _partition(block, side), lefts + [counts[q] - n for q, n in zip(split, lefts)]
+
+    def _check_ties(self, block, starts, counts, tied, n_left, level_i, level_f, c0, base, depth):
+        """Sort out the level's tied nodes. A candidate that sends the first
+        candidate's left rows left only picks the split; one that sends its
+        right rows left also swaps the children. If any sends a third set of
+        rows left, the node is held: it leaves this level's split."""
+        cands = [
+            (q, c) for q in tied for c in range(self.first[base + q], self.first[base + q] + self.n_cand[base + q])
+        ]
+        node, c = (np.array(column) for column in zip(*cands))
+        i, f = np.array(level_i).take(c - c0), np.array(level_f).take(c - c0)
+        # The first candidate's left rows among each candidate's first i + 1.
+        lengths = i + 1
+        ends = lengths.cumsum()
+        skip = f * block.shape[1] + np.array(starts).take(node) - (ends - lengths)
+        is_left = self.side.take(block.take(skip.repeat(lengths) + np.arange(ends[-1]))) == 0
+        in_prefix = np.add.reduceat(is_left.astype(np.int64), ends - lengths)
+        n_l = np.array([n_left[q] for q, _ in cands])
+        swaps = (lengths == np.array(counts).take(node) - n_l) & (in_prefix == 0)
+        agrees = swaps | ((lengths == n_l) & (in_prefix == n_l))
+        self.swaps.update(c[swaps].tolist())
+        for q in set(node[~agrees].tolist()):
+            own = node == q
+            self.side[block[-1, starts[q]:starts[q + 1]]] = 2
+            del n_left[q]
+            self.held[base + q] = (depth, block[:, starts[q]:starts[q + 1]].copy(), f[own].tolist(), lengths[own].tolist())
+
+    def _grow_held(self, record, pick) -> int:
+        """Grow held `record`'s children by its candidate `pick`; return the
+        left one's record, which the right one follows."""
+        depth, block, features, n_lefts = self.held.pop(record)
+        n_left = n_lefts[pick]
+        self.side[block[-1]] = 1
+        self.side[block[features[pick], :n_left]] = 0
+        return self.grow(_partition(block, self.side), [n_left, block.shape[1] - n_left], depth + 1)
+
+    def walk(self, root, rng) -> Tree:
+        """The tree with records numbered in preorder, left subtree first,
+        drawing each tied node's split when the walk reaches it."""
+        left, right, first, n_cand = self.left, self.right, self.first, self.n_cand
+        visit, chosen, stack = [], [], [root]
+        while stack:
+            record = stack.pop()
+            visit.append(record)
+            m = n_cand[record]
+            if not m:
+                chosen.append(-1)
+                continue
+            c = first[record]
+            if m > 1:
+                pick = int(rng.integers(m))
+                c += pick
+                if record in self.held:
+                    left[record] = self._grow_held(record, pick)
+                    right[record] = left[record] + 1
+                elif c in self.swaps:
+                    left[record], right[record] = right[record], left[record]
+            chosen.append(c)
+            stack += (right[record], left[record])
+        visit, chosen = np.array(visit), np.array(chosen)
+        ids = np.empty(visit.size, dtype=np.int64)
+        ids[visit] = own = np.arange(visit.size)
+        left, right = np.where(chosen < 0, own, ids.take(np.array([left, right]).take(visit, axis=1)))
+        # A leaf's `chosen` of -1 picks an appended feature 0 and bounds 0.0, so threshold 0.0.
+        feature, low, high = np.concatenate([*self.cands, _LEAF_CANDIDATE], axis=1).take(chosen, axis=1)
+        value, n_samples = np.array(self.value).take(visit), np.array(self.n_samples).take(visit)
+        return Tree(
+            feature.astype(np.int64), _threshold(low, high), left, right, value, n_samples,
+            n_features=self.Xt.shape[0],
+        )
+
+
+def _runs(searched, d):
+    """`searched`, (size, node) pairs by increasing size, in runs that one
+    search takes, each node padded to its run's largest. A run takes in
+    another node while it pads at most PAD_CELLS cells per node beyond its
+    first."""
+    j = 0
+    while j < len(searched):
+        k, rows = j + 1, searched[j][0]
+        while k < len(searched) and searched[k][0] * (k - j + 1) - rows - searched[k][0] <= PAD_CELLS * (k - j) // d:
+            rows += searched[k][0]
+            k += 1
+        yield searched[j:k]
+        j = k
+
+
+def _partition(block, side):
+    """`block` with the rows of side 0 first, then those of side 1, each
+    part in the order it had; rows of side 2 are dropped. So each node's
+    left rows come first, node by node, then the right ones."""
+    cells, sides = block.ravel(), side.take(block).ravel()
+    halves = [cells.compress(sides == s).reshape(block.shape[0], -1) for s in (0, 1)]
+    return np.concatenate(halves, axis=1)
 
 
 def _check_finite(X) -> None:

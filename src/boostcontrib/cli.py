@@ -360,18 +360,31 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser, *, n_estimators: int, max_depth: int) -> None:
-    p.add_argument("--n-estimators", type=int, default=n_estimators)
-    p.add_argument("--max-depth", type=int, default=max_depth)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.add_argument("--test-fraction", type=float, default=0.1)
+    p.add_argument("--n-estimators", type=_positive_int, default=n_estimators)
+    p.add_argument("--max-depth", type=_positive_int, default=max_depth)
+    p.add_argument("--learning-rate", type=_rate, default=0.1)
+    p.add_argument("--min-samples-leaf", type=_positive_int, default=1)
+    p.add_argument("--test-fraction", type=_fraction, default=0.1)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _ranged(convert, ok, requirement: str):
+    """An argparse type that converts its text and refuses values outside
+    the range, so they are a usage error (exit 2) like a malformed number."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # named in argparse's "invalid int value" message
+    return parse
+
+
+_positive_int = _ranged(int, lambda v: v >= 1, "at least 1")
+_seed = _ranged(int, lambda v: v >= 0, "at least 0")
+_rate = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_fraction = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model and write it to JSON")
     _add_data_flags(p)
     _add_hyper_flags(p, n_estimators=100, max_depth=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-out", required=True, help="where to write the model JSON")
     p.add_argument(
         "--no-split",
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_data_flags(p)
     p.add_argument("--probes", type=_positive_int, default=1000, help="probes per tree for the leaf-partition check")
-    p.add_argument("--probe-seed", type=int, default=0)
+    p.add_argument("--probe-seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     exp = sub.add_parser("experiment", help="run one of the attribution studies")
@@ -450,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="feature to copy ('auto' picks the most important one)",
     )
-    p.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    p.add_argument("--seeds", type=_seed, nargs="+", default=list(DEFAULT_SEEDS))
     p.add_argument("--factor", type=float, help="fix the copy's factor instead of drawing it")
     p.add_argument("--offset", type=float, help="fix the copy's offset instead of drawing it")
     p.add_argument("--out-dir", required=True)
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(DEFAULT_NOISE_LEVELS),
         help="noise variances as percent of the feature's variance",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment_noise)
 
@@ -486,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--feature",
         help="feature to push past its max (default: first feature)",
     )
-    p.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    p.add_argument("--seeds", type=_seed, nargs="+", default=list(DEFAULT_SEEDS))
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment_outlier)
 

@@ -92,13 +92,6 @@ def dataset_fingerprint(ds: Dataset) -> str:
     return h.hexdigest()
 
 
-def select_base_feature(ds: Dataset, config: ExperimentConfig, seed: int) -> str:
-    """Most important feature of a model fitted on the seed's training split."""
-    train, _ = train_test_split(ds, config.test_fraction, seed)
-    model = fit_gbdt(train, config.gbdt_params(seed))
-    return ds.feature_names[int(np.argmax(feature_importance(model)))]
-
-
 def _mean_rows(prefix: tuple, names, matrix: np.ndarray) -> list[tuple]:
     return [
         (
@@ -133,8 +126,13 @@ def run_correlation_experiment(
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    # The automatic base is the most important feature of seeds[0]'s
+    # original model, which the loop then reuses.
+    first_model = None
     if base_feature is None:
-        base = select_base_feature(ds, config, seeds[0])
+        train, _ = train_test_split(ds, config.test_fraction, seeds[0])
+        first_model = fit_gbdt(train, config.gbdt_params(seeds[0]))
+        base = ds.feature_names[int(np.argmax(feature_importance(first_model)))]
     else:
         base = base_feature
         ds.feature_index(base)
@@ -156,7 +154,10 @@ def run_correlation_experiment(
         # share train/test rows.
         train_orig, test_orig = train_test_split(ds, config.test_fraction, seed)
         train_aug, test_aug = train_test_split(augmented, config.test_fraction, seed)
-        model_orig = fit_gbdt(train_orig, config.gbdt_params(seed))
+        if seed == seeds[0] and first_model is not None:
+            model_orig = first_model
+        else:
+            model_orig = fit_gbdt(train_orig, config.gbdt_params(seed))
         model_aug = fit_gbdt(train_aug, config.gbdt_params(seed))
         mat_orig = _explain_arrays(model_orig, test_orig)[1]
         mat_aug = _explain_arrays(model_aug, test_aug)[1]
@@ -206,12 +207,14 @@ def run_noise_experiment(
 
     The split is made once; every level re-trains on the noised training
     set and explains the same clean test rows. Level 0 adds no noise and
-    consumes no random draws, so its rows reproduce the baseline exactly.
+    consumes no random draws, so its rows reproduce the baseline exactly,
+    and it reuses the baseline model when one was fitted to pick the feature.
     """
     levels = tuple(float(lv) for lv in levels)
     if not levels:
         raise ValueError("need at least one noise level")
     train, test = train_test_split(ds, config.test_fraction, seed)
+    baseline = None
     if feature is None:
         baseline = fit_gbdt(train, config.gbdt_params(seed))
         feature = ds.feature_names[int(np.argmax(feature_importance(baseline)))]
@@ -221,8 +224,11 @@ def run_noise_experiment(
 
     rows: list[tuple] = []
     for level, noise_seed in zip(levels, noise_seeds):
-        noised = add_gaussian_noise(train, feature, level, int(noise_seed))
-        model = fit_gbdt(noised, config.gbdt_params(seed))
+        if level == 0.0 and baseline is not None:
+            model = baseline
+        else:
+            noised = add_gaussian_noise(train, feature, level, int(noise_seed))
+            model = fit_gbdt(noised, config.gbdt_params(seed))
         matrix = _explain_arrays(model, test)[1]
         rows.extend(_mean_rows((seed, level), ds.feature_names, matrix))
 

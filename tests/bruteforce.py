@@ -1,7 +1,7 @@
 """Slow references for split finding and tree growth, used to cross-check
 the vectorized implementation. Deliberately obvious: every midpoint of
 every feature is tried with a fresh mask and two direct SSE computations,
-and the reference grower searches each node's rows afresh.
+and the reference grower searches each node's rows afresh, depth first.
 """
 
 import numpy as np
@@ -22,8 +22,10 @@ def enumerate_splits(X: np.ndarray, y: np.ndarray, min_samples_leaf: int = 1):
     out = []
     for f in range(d):
         values = np.unique(X[:, f])
-        for lo, hi in zip(values, values[1:]):
+        for lo, hi in zip(values.tolist(), values[1:].tolist()):
             threshold = (lo + hi) / 2.0
+            if not lo <= threshold < hi:  # rounded up to hi, or overflowed
+                threshold = lo
             mask = X[:, f] <= threshold
             n_left = int(mask.sum())
             if n_left < min_samples_leaf or n - n_left < min_samples_leaf:

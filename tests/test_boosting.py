@@ -453,8 +453,9 @@ class TestPinnedModels:
 
     def test_tie_draws_on_both_sides_of_the_presort_cutoff(self, tmp_path):
         # Rounded data with a duplicated column and non-default stopping rules:
-        # the fit breaks gain ties at random in nodes above and below
-        # cart.PRESORT_MIN_ROWS. Pinned before the presorted search existed.
+        # the fit breaks gain ties at random in nodes of 64 rows and more and
+        # in smaller ones, which once took different search paths. Pinned
+        # before the presorted search existed.
         ds = build_synthetic(n=400, d=4, seed=3)
         X = np.round(ds.features, 1)
         data = Dataset(
@@ -464,4 +465,48 @@ class TestPinnedModels:
         params = GbdtParams(n_estimators=10, learning_rate=0.3, cart=cart, seed=7)
         assert self.saved_sha256(fit_gbdt(data, params), tmp_path) == (
             "464f338e1094399beba2355f4420e5434028cc6832a74ec5a28edb62f3f80953"
+        )
+
+    @staticmethod
+    def sweep_fit(k):
+        """Config k of the sweep: rounded and duplicated columns, integer
+        targets, min_samples_leaf 1-5, min_gain up to 0.5, depth up to 15."""
+        rng = np.random.default_rng([k, 48])
+        ds = build_synthetic(n=int(rng.choice([20, 60, 150, 400])), d=int(rng.integers(1, 6)), seed=k)
+        X, y = ds.features, ds.target
+        decimals = int(rng.choice([-1, 0, 1]))
+        if decimals >= 0:
+            X = np.round(X, decimals)
+        if rng.random() < 0.5:
+            X = np.column_stack([X, X[:, 0]])
+        if rng.random() < 0.3:
+            y = np.round(y)
+        cart = CartParams(
+            max_depth=int(rng.choice([1, 3, 6, 15])),
+            min_samples_leaf=int(rng.integers(1, 6)),
+            min_samples_split=int(rng.integers(2, 9)),
+            min_gain=float(rng.choice([0.0, 0.01, 0.5])),
+        )
+        params = GbdtParams(
+            n_estimators=int(rng.integers(1, 6)),
+            learning_rate=float(rng.choice([0.1, 0.5, 1.0])),
+            cart=cart,
+            seed=int(rng.integers(1000)),
+        )
+        names = tuple(f"x{j}" for j in range(X.shape[1]))
+        return fit_gbdt(Dataset(X, y, names), params)
+
+    def test_sweep_of_48_configs(self, tmp_path):
+        # Pinned before the level-wise grower existed.
+        digest = hashlib.sha256()
+        models = [self.sweep_fit(k) for k in range(48)]
+        for model in models:
+            save_model(model, tmp_path / "m.json")
+            digest.update((tmp_path / "m.json").read_bytes())
+        carts = [model.params.cart for model in models]
+        assert {c.max_depth for c in carts} == {1, 3, 6, 15}
+        assert {c.min_samples_leaf for c in carts} == {1, 2, 3, 4, 5}
+        assert max(c.min_gain for c in carts) == 0.5
+        assert digest.hexdigest() == (
+            "5f19419a1dfe8d4728f94fe1f587bc8fc2e489e4c79fdce5689214aa7ed0bf90"
         )

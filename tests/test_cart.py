@@ -189,46 +189,128 @@ def tied_data(seed):
     return X, y, params
 
 
-class TestPresortedGrowth:
-    """Nodes of cart.PRESORT_MIN_ROWS rows or more search column blocks
-    sorted once per fit; smaller nodes sort their own rows. Either way the
-    tree must be the one the slow reference grows, bit for bit."""
+def integer_data(seed):
+    """Small data with integer targets and a few distinct feature values:
+    gains often tie between candidates that split a node's rows into
+    different sets, which holds the node until its draw."""
+    rng = rng_of(seed)
+    n = int(rng.integers(2, 40))
+    d = int(rng.integers(1, 4))
+    X = rng.integers(0, 5, size=(n, d)).astype(np.float64)
+    y = rng.integers(0, 3, size=n).astype(np.float64)
+    params = CartParams(
+        max_depth=int(rng.integers(1, 7)),
+        min_samples_leaf=int(rng.integers(1, 3)),
+        min_samples_split=int(rng.integers(2, 5)),
+    )
+    return X, y, params
 
-    @pytest.mark.parametrize("path", ["presorted", "sorted per node"])
+
+def assert_same_tree(tree, want):
+    for field, array in want.items():
+        got = getattr(tree, field)
+        assert (got.dtype, got.tobytes()) == (array.dtype, array.tobytes()), field
+
+
+PADDING = pytest.mark.parametrize("pad_cells", [0, 10**9], ids=["one search per size", "padded"])
+
+
+class TestLevelwiseGrowth:
+    """fit_cart grows a tree a level at a time and draws in a preorder walk;
+    it must be the tree the slow depth-first reference grows, bit for bit,
+    whether nodes are searched one size at a time or padded together."""
+
+    @PADDING
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_reference_grower(self, path, seed):
+    def test_matches_the_reference_grower(self, pad_cells, seed):
         X, y, params = tied_data(seed)
-        cutoff = 2 if path == "presorted" else y.size + 1
-        with mock.patch.object(cart, "PRESORT_MIN_ROWS", cutoff):
+        with mock.patch.object(cart, "PAD_CELLS", pad_cells):
             tree = fit_cart(X, y, params, rng_of(seed))
-        want = bruteforce.grow_tree(X, y, params, rng_of(seed))
-        for field, array in want.items():
-            got = getattr(tree, field)
-            assert (got.dtype, got.tobytes()) == (array.dtype, array.tobytes()), field
+        assert_same_tree(tree, bruteforce.grow_tree(X, y, params, rng_of(seed)))
 
-    @pytest.mark.parametrize("cutoff", [2, 16])
-    def test_search_sees_each_node_sorted_by_value_then_row(self, cutoff):
-        # The invariant behind bit-identical trees: whichever path a node
-        # takes, the search gets its rows sorted per column by (value, row)
-        # and its sums taken in row order.
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_reference_grower_on_integer_targets(self, seed):
+        X, y, params = integer_data(seed)
+        tree = fit_cart(X, y, params, rng_of(seed))
+        assert_same_tree(tree, bruteforce.grow_tree(X, y, params, rng_of(seed)))
+
+    def test_held_nodes_are_grown_after_their_draw(self):
+        # On these inputs some tied candidates split a node's rows into
+        # different sets, so the node's children wait for its draw.
+        real, held = cart._Grower._grow_held, []
+
+        def spy(self, record, pick):
+            held.append(record)
+            return real(self, record, pick)
+
+        with mock.patch.object(cart._Grower, "_grow_held", spy):
+            for seed in range(40):
+                X, y, params = integer_data(seed)
+                tree = fit_cart(X, y, params, rng_of(seed))
+                assert_same_tree(tree, bruteforce.grow_tree(X, y, params, rng_of(seed)))
+        assert len(held) >= 5
+
+    @PADDING
+    def test_search_sees_each_node_sorted_by_value_then_row(self, pad_cells):
+        # The invariant behind bit-identical trees: the search gets each
+        # node's rows sorted per column by (value, row), padded only after
+        # the run, and its sums taken in row order.
         rng = rng_of(5)
         X = np.round(rng.normal(size=(300, 3)), 1)
         X[:, 2] = X[:, 0]
         y = X[:, 0] + rng.normal(size=300)
-        real, presorted = cart._search, []
+        real, padded = cart._search, []
 
-        def spy(X_rows, y_rows, order, total, total_sq, *rest):
-            rows = np.sort(order[:, 0])
-            assert np.array_equal(order, rows[X_rows[rows].argsort(axis=0, kind="stable")])
-            ys = y_rows[rows]
-            assert (total, total_sq) == (float(ys.sum()), float((ys * ys).sum()))
-            presorted.append(X_rows is X)
-            return real(X_rows, y_rows, order, total, total_sq, *rest)
+        def spy(Xt, y_all, slab, counts, total, total_sq, *rest):
+            for q, n in enumerate(counts.astype(int).tolist()):
+                rows = np.sort(slab[0, q, :n])
+                assert np.array_equal(slab[:, q, :n], rows[Xt[:, rows].argsort(axis=1, kind="stable")])
+                assert (slab[:, q, n:] == slab[:, q, n - 1 : n]).all()
+                ys = y_all[rows]
+                assert (total[q], total_sq[q]) == (ys.sum(), (ys * ys).sum())
+            padded.append(len(set(counts.tolist())) > 1)
+            return real(Xt, y_all, slab, counts, total, total_sq, *rest)
 
-        with mock.patch.object(cart, "PRESORT_MIN_ROWS", cutoff), mock.patch.object(cart, "_search", spy):
+        with mock.patch.object(cart, "PAD_CELLS", pad_cells), mock.patch.object(cart, "_search", spy):
             fit_cart(X, y, CartParams(max_depth=8), rng_of(0))
-        assert any(presorted) and (cutoff == 2) == all(presorted)
+        assert any(padded) == (pad_cells > 0)
+
+    def test_default_outlier_fit_makes_few_searches(self):
+        # One search per level and size run, not one per node (2,240 before).
+        from boostcontrib import Dataset, fit_gbdt, make_outlier, train_test_split
+        from boostcontrib.experiments import OUTLIER_CONFIG
+        from conftest import build_synthetic
+
+        train, _ = train_test_split(build_synthetic(n=250, d=8, seed=3), OUTLIER_CONFIG.test_fraction, 0)
+        sample = make_outlier(train, "x0")
+        poisoned = Dataset(
+            np.vstack([train.features, sample.x_fake]), np.append(train.target, sample.y_fake), train.feature_names
+        )
+        with mock.patch.object(cart, "_search", wraps=cart._search) as search:
+            model = fit_gbdt(poisoned, OUTLIER_CONFIG.gbdt_params(0))
+        assert sum(tree.value.size for tree in model.trees) > 4000
+        assert search.call_count <= 1000
+
+
+class TestThresholds:
+    """A threshold always separates the two values it lies between, also
+    where their midpoint rounds up to the higher one or overflows."""
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0000000000000002, 1.0000000000000004), (1e308, 1.7e308), (-1.7e308, -1e308), (0.0, 1.0)],
+        ids=["adjacent", "overflow", "negative-overflow", "plain"],
+    )
+    def test_split_separates_its_rows(self, low, high):
+        X = np.array([[low], [high]])
+        tree = fit_cart(X, np.array([0.0, 1.0]), CartParams(max_depth=1), rng_of())
+        assert tree.value.tolist() == [0.5, 0.0, 1.0]
+        threshold = tree.threshold[0]
+        assert low <= threshold < high
+        assert threshold == (low + high) / 2 or threshold == low
+        assert best_split(X, np.array([0.0, 1.0]), rng_of())[1] == threshold
 
 
 class TestTraversal:

@@ -110,6 +110,80 @@ class TestTrain:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize(
+        "low, high, rows, split",
+        [
+            ("1.0000000000000002", "1.0000000000000004", 2, ["--no-split"]),
+            ("1e308", "1.7e308", 4, []),
+            ("-1.7e308", "-1e308", 4, []),
+        ],
+        ids=["adjacent", "overflow", "negative-overflow"],
+    )
+    def test_split_between_extreme_values_trains_and_verifies(self, low, high, rows, split, tmp_path, capsys):
+        # Their midpoint rounds up to the higher value or overflows; the
+        # threshold is then the lower value, which still separates them.
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        data.write_text("x,y\n" + f"{low},0\n{high},1\n" * (rows // 2))
+        assert cli.main([
+            "train", "--data", str(data), "--target", "y", "--n-estimators", "2", *split,
+            "--model-out", str(model),
+        ]) == 0
+        assert load_model(model).trees[0].threshold[0] == float(low)
+        assert cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y"]) == 0
+        assert capsys.readouterr().out.endswith("all checks passed\n")
+
+
+class TestUsageErrors:
+    """Out-of-range values are usage errors (exit 2), like malformed ones."""
+
+    COMMANDS = {
+        "train": ["train", "--model-out", "m.json"],
+        "correlation": ["experiment", "correlation", "--out-dir", "out"],
+        "noise": ["experiment", "noise", "--out-dir", "out"],
+        "outlier": ["experiment", "outlier", "--out-dir", "out"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-depth", "0", "must be at least 1, got 0"),
+            ("--n-estimators", "0", "must be at least 1, got 0"),
+            ("--min-samples-leaf", "0", "must be at least 1, got 0"),
+            ("--learning-rate", "1.5", "must be in (0, 1], got 1.5"),
+            ("--learning-rate", "0", "must be in (0, 1], got 0.0"),
+            ("--test-fraction", "1.5", "must be in (0, 1), got 1.5"),
+            ("--test-fraction", "0", "must be in (0, 1), got 0.0"),
+        ],
+    )
+    def test_hyperparameter_out_of_range(self, command, flag, value, message, data_csv, capsys):
+        argv = [*self.COMMANDS[command], "--data", str(data_csv), "--target", "y", flag, value]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("train", "--seed"), ("noise", "--seed"), ("correlation", "--seeds"), ("outlier", "--seeds")],
+    )
+    def test_negative_seed(self, command, flag, data_csv, capsys):
+        argv = [*self.COMMANDS[command], "--data", str(data_csv), "--target", "y", flag, "-1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_negative_probe_seed(self, data_csv, model_json, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([
+                "verify", "--model", str(model_json), "--data", str(data_csv), "--target", "y",
+                "--probe-seed", "-1",
+            ])
+        assert excinfo.value.code == 2
+        assert "argument --probe-seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
 class TestPredict:
     def test_matches_library_predictions(self, data_csv, model_json, tmp_path):
         out = tmp_path / "preds.csv"

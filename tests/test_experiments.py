@@ -1,5 +1,7 @@
+import hashlib
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,3 +232,41 @@ class TestInputsUntouched:
         run_noise_experiment(small, levels=(0.0, 100.0), seed=0, config=CFG)
         run_outlier_experiment(small, seeds=(0,), config=CFG)
         assert np.array_equal(small.features, before)
+
+
+class TestPinnedReports:
+    """Report bytes of each study at its defaults, pinned before the
+    level-wise grower and before the studies reused their duplicate fits."""
+
+    @pytest.mark.parametrize(
+        "runner, want",
+        [
+            (run_correlation_experiment, "98a57a5120bec6bc56a0312a4f2058f11ab00abf595ad9893eeb6cf79ae6d860"),
+            (run_noise_experiment, "961ebc673b99ddcae40faf66a257930255290431ce7393cebd4fb2e382bd665c"),
+            (run_outlier_experiment, "41b625b8e721019882f1cc334580079f23e5b73d34ff1122641d3fa2d0a8b1c9"),
+        ],
+        ids=["correlation", "noise", "outlier"],
+    )
+    def test_default_report_bytes(self, runner, want, tmp_path):
+        paths = write_report(runner(build_synthetic(n=250, d=8, seed=3)), tmp_path)
+        digest = hashlib.sha256(b"".join(path.read_bytes() for path in paths))
+        assert digest.hexdigest() == want
+
+
+class TestFitsEachModelOnce:
+    """The automatic feature choice fits a model the study needs anyway."""
+
+    @pytest.mark.parametrize("base_feature, fits", [(None, 4), ("x1", 4)])
+    def test_correlation(self, small, base_feature, fits):
+        # Per seed an original and an augmented model; choosing the base
+        # feature uses the first seed's original model.
+        with mock.patch("boostcontrib.experiments.fit_gbdt", wraps=fit_gbdt) as fit:
+            run_correlation_experiment(small, base_feature=base_feature, seeds=(0, 1), config=CFG)
+        assert fit.call_count == fits
+
+    @pytest.mark.parametrize("feature, fits", [(None, 2), ("x1", 2)])
+    def test_noise(self, small, feature, fits):
+        # Level 0 leaves the data as it is, so it is the baseline model.
+        with mock.patch("boostcontrib.experiments.fit_gbdt", wraps=fit_gbdt) as fit:
+            run_noise_experiment(small, feature=feature, levels=(0.0, 100.0), seed=0, config=CFG)
+        assert fit.call_count == fits
