@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,19 +73,21 @@ class Ensemble:
 def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
     """Fit trees sequentially, each on the residuals of the running model.
     Every tree is grown as fit_cart grows it, from one sort of the columns;
-    ds is already checked, so its rows are not checked again per tree."""
-    X = ds.features
-    presorted = _presort(X)
+    ds is already checked, so its rows are not checked again per tree. The
+    running model takes each row's leaf value from the grower's partition
+    of the rows, which is the one `x <= threshold` routing gives: no row is
+    traversed."""
+    presorted = _presort(ds.features)
     f0 = float(np.mean(ds.target))
     running = np.full(ds.n_samples, f0, dtype=np.float64)
     trees: list[Tree] = []
     for l in range(1, params.n_estimators + 1):
         residual = ds.target - running
         rng = np.random.default_rng([params.seed, l])
-        tree = _grow(residual, presorted, params.cart, rng)
-        flat = FlatForest([tree], params.learning_rate)
-        for rows, ids in flat.paths(X):
-            running[rows] = running[rows] + params.learning_rate * flat.leaf_sum(ids)
+        tree, leaf_value = _grow(residual, presorted, params.cart, rng)
+        # + 0.0 turns -0.0 into +0.0, as the kernel's leaf sum (a bincount from
+        # +0.0) does, so the running model keeps the bits that update gave.
+        running = running + params.learning_rate * (leaf_value + 0.0)
         trees.append(tree)
     return Ensemble(
         f0=f0,
@@ -178,66 +181,82 @@ def _require(condition: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _tree_from_dict(obj, n_features: int) -> Tree:
-    _require(isinstance(obj, dict), "tree entry must be an object")
-    _require("root" in obj and "nodes" in obj, "tree entry needs 'root' and 'nodes'")
-    raw_nodes = obj["nodes"]
-    _require(isinstance(raw_nodes, list) and raw_nodes, "tree needs a non-empty node list")
-    _require(all(type(raw) is dict for raw in raw_nodes), "node entry must be an object")
+def _trees_from_dicts(raw_trees: list, n_features: int) -> list[Tree]:
+    """The model file's trees. Each tree entry's shape is checked in Python;
+    then each node field is built and checked once, over all trees' nodes,
+    and the arrays are cut into one Tree per entry. Node ids name nodes
+    within their tree, so each tree has its own id lookup."""
+    for obj in raw_trees:
+        _require(isinstance(obj, dict), "tree entry must be an object")
+        _require("root" in obj and "nodes" in obj, "tree entry needs 'root' and 'nodes'")
+        raw_nodes = obj["nodes"]
+        _require(isinstance(raw_nodes, list) and raw_nodes, "tree needs a non-empty node list")
+    raw_nodes = [raw for obj in raw_trees for raw in obj["nodes"]]
+    _require(set(map(type, raw_nodes)) == {dict}, "node entry must be an object")
     columns = {}
     for key in NODE_KEYS:
         try:
             columns[key] = [raw[key] for raw in raw_nodes]
         except KeyError:
             raise ModelFormatError(f"node entry missing {key!r}") from None
+    starts = list(accumulate((len(obj["nodes"]) for obj in raw_trees), initial=0))
 
-    ids = _numbers(columns["id"], "node id", integer=True).tolist()
-    position = dict(zip(ids, range(len(ids))))
-    if len(position) < len(ids):
-        raise ModelFormatError(
-            f"duplicate node id {next(i for p, i in enumerate(ids) if position[i] != p)}"
-        )
+    ids = _numbers(columns.pop("id"), "node id", integer=True)
+    id_list = ids.tolist()
+    positions = []  # per tree, node id -> position among the tree's nodes
+    for a, b in zip(starts, starts[1:]):
+        position = dict(zip(id_list[a:b], range(b - a)))
+        if len(position) < b - a:
+            raise ModelFormatError(
+                f"duplicate node id {next(i for p, i in enumerate(id_list[a:b]) if position[i] != p)}"
+            )
+        positions.append(position)
 
-    def positions(raw_ids: list) -> list[int]:
-        found = [position.get(i, -1) if type(i) is int else -1 for i in raw_ids]
-        if -1 in found:
-            raise ModelFormatError(f"unknown node id {raw_ids[found.index(-1)]!r}")
-        return found
-
-    value = _numbers(columns["value"], "node value")
-    n_samples = _numbers(columns["n_samples"], "node n_samples", integer=True)
+    value = _numbers(columns.pop("value"), "node value")
+    n_samples = _numbers(columns.pop("n_samples"), "node n_samples", integer=True)
     if (n_samples < 1).any():
         raise ModelFormatError(
             f"node n_samples must be positive, got {n_samples[np.argmax(n_samples < 1)]}"
         )
-    split = [columns[key] for key in ("feature", "threshold", "left", "right")]
-    given = np.array([[v is not None for v in column] for column in split])
+    is_split = [v is not None for v in columns["feature"]]
     _require(
-        (given == given[0]).all(),
+        all([v is not None for v in columns[key]] == is_split for key in ("threshold", "left", "right")),
         "internal node needs feature, threshold, left and right; a leaf has none",
     )
-    feature, threshold, left, right = ([v for v in column if v is not None] for column in split)
+    feature, threshold, left, right = (
+        [v for v in columns.pop(key) if v is not None] for key in ("feature", "threshold", "left", "right")
+    )
     feature = _numbers(feature, "split feature", integer=True)
     out_of_range = (feature < 0) | (feature >= n_features)
     if out_of_range.any():
         raise ModelFormatError(f"split feature {feature[np.argmax(out_of_range)]} out of range")
+    threshold = _numbers(threshold, "split threshold")
+    at = np.flatnonzero(is_split)
+    cuts = np.searchsorted(at, starts).tolist()  # tree t's internal nodes: at[cuts[t]:cuts[t + 1]]
+    owners = [position for position, c, e in zip(positions, cuts, cuts[1:]) for _ in range(e - c)]
+    left, right = _located(left, owners), _located(right, owners)
+    roots = _located([obj["root"] for obj in raw_trees], positions)
 
     # Leaves keep Tree's convention; the split fields fill the internal nodes.
-    nodes, at = np.arange(len(ids)), np.flatnonzero(given[0])
-    tree = Tree(
-        np.zeros_like(nodes), np.zeros(nodes.size), nodes, nodes.copy(), value, n_samples,
-        n_features=n_features,
-    )
-    tree.feature[at] = feature
-    tree.threshold[at] = _numbers(threshold, "split threshold")
-    tree.left[at] = positions(left)
-    tree.right[at] = positions(right)
-    tree.root = positions([obj["root"]])[0]
+    # Child links are made global for the reachability check, then local again.
+    offset = np.repeat(starts[:-1], np.diff(starts))
+    arrays = {
+        "feature": np.zeros(len(raw_nodes), dtype=np.int64),
+        "threshold": np.zeros(len(raw_nodes)),
+        "left": np.arange(len(raw_nodes)),
+        "right": np.arange(len(raw_nodes)),
+        "value": value,
+        "n_samples": n_samples,
+    }
+    arrays["feature"][at] = feature
+    arrays["threshold"][at] = threshold
+    arrays["left"][at] = offset[at] + left
+    arrays["right"][at] = offset[at] + right
     try:
-        node_depths(tree.left, tree.right, np.array([tree.root]), ids)
+        node_depths(arrays["left"], arrays["right"], np.add(starts[:-1], roots), ids)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    left_n, right_n = n_samples[tree.left[at]], n_samples[tree.right[at]]
+    left_n, right_n = n_samples[arrays["left"][at]], n_samples[arrays["right"][at]]
     wrong = np.flatnonzero(n_samples[at] != left_n + right_n)
     if wrong.size:
         i = wrong[0]
@@ -245,7 +264,21 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
             f"node id {ids[at[i]]}: n_samples {n_samples[at[i]]} is not the sum of "
             f"its children's ({left_n[i]} + {right_n[i]})"
         )
-    return tree
+    arrays["left"] -= offset
+    arrays["right"] -= offset
+    return [
+        Tree(**{name: array[a:b] for name, array in arrays.items()}, root=root, n_features=n_features)
+        for a, b, root in zip(starts, starts[1:], roots)
+    ]
+
+
+def _located(raw_ids: list, lookups: list[dict]) -> list[int]:
+    """The position each of the node ids `raw_ids` has in its tree, by the
+    tree's id lookup in `lookups`."""
+    found = [lookup.get(i, -1) if type(i) is int else -1 for i, lookup in zip(raw_ids, lookups)]
+    if -1 in found:
+        raise ModelFormatError(f"unknown node id {raw_ids[found.index(-1)]!r}")
+    return found
 
 
 def _numbers(column: list, what: str, integer: bool = False) -> np.ndarray:
@@ -301,7 +334,7 @@ def load_model(path) -> Ensemble:
         isinstance(payload["trees"], list) and payload["trees"],
         "trees must be a non-empty list",
     )
-    trees = [_tree_from_dict(t, len(names)) for t in payload["trees"]]
+    trees = _trees_from_dicts(payload["trees"], len(names))
     return Ensemble(
         f0=f0,
         learning_rate=learning_rate,

@@ -228,7 +228,7 @@ def fit_cart(
     if y.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("need at least one sample and one feature")
     _check_finite(np.column_stack([X, y]))
-    return _grow(y, _presort(X), params, rng)
+    return _grow(y, _presort(X), params, rng)[0]
 
 
 def _presort(X):
@@ -245,12 +245,15 @@ def _presort(X):
     return Xt, np.concatenate([order, np.arange(X.shape[0])[None]]), same_as
 
 
-def _grow(y, presorted, params: CartParams, rng) -> Tree:
-    """fit_cart on finite float arrays, given _presort(X)."""
+def _grow(y, presorted, params: CartParams, rng) -> tuple[Tree, np.ndarray]:
+    """fit_cart on finite float arrays, given _presort(X); also returns the
+    value of the leaf each row of X falls in, read off the grower's own
+    partition of the rows."""
     Xt, block, same_as = presorted
     grower = _Grower(Xt, y, params, same_as)
     root = grower.grow(block, [y.size], 0)
-    return grower.walk(root, rng)
+    tree = grower.walk(root, rng)
+    return tree, np.array(grower.value).take(grower.leaf)
 
 
 _LEAF_CANDIDATE = np.zeros((3, 1))  # feature, low, high
@@ -283,7 +286,8 @@ class _Grower:
     Candidates are numbered as found; `cands` keeps their features and the
     values `low` and `high` their thresholds lie between, a search at a
     time. `swaps` holds the candidates that swap their node's children, and
-    `held` what a held node's growth needs.
+    `held` what a held node's growth needs. `leaf` holds each row's record
+    at the deepest level grown so far, so its leaf's once the tree is grown.
     """
 
     def __init__(self, Xt, y, params: CartParams, same_as):
@@ -292,6 +296,7 @@ class _Grower:
         self.params = params
         self.same_as = same_as
         self.side = np.empty(y.size, dtype=np.int8)  # per row: 0 left, 1 right, 2 stays
+        self.leaf = np.empty(y.size, dtype=np.intp)
         self.value, self.n_samples, self.n_cand, self.first, self.left, self.right = [], [], [], [], [], []
         self.cands, self.n_stored = [], 0
         self.swaps, self.held = set(), {}
@@ -313,6 +318,7 @@ class _Grower:
         size, base, c0 = len(counts), len(self.n_cand), self.n_stored
         starts = list(accumulate(counts, initial=0))
         y_rows = self.y.take(block[d])
+        self.leaf[block[d]] = np.arange(base, base + size).repeat(counts)
         searched = []  # (size, node) of each node to search: its targets differ
         if depth < params.max_depth:
             live = np.maximum.reduceat(y_rows, starts[:-1]) > np.minimum.reduceat(y_rows, starts[:-1])

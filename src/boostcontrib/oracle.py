@@ -18,8 +18,8 @@ import numpy as np
 from .boosting import Ensemble
 from .cart import Tree
 
-# Most probe x region x feature tests held at once by count_containing_regions:
-# each is one byte of a boolean temporary.
+# Most probe x region cells held at once by count_containing_regions: each
+# is one byte of its boolean mask or of a temporary as large.
 CHUNK_CELLS = 1 << 20
 
 
@@ -96,21 +96,31 @@ def enumerate_leaf_regions(tree: Tree) -> list[tuple[RegionBox, float]]:
 
 def count_containing_regions(regions, probes) -> np.ndarray:
     """How many regions contain each probe; exhaustive, no tree traversal.
-    Probes are taken in chunks of at most CHUNK_CELLS probe-region-feature
-    tests (at least one probe), which bounds the working memory."""
+    A column that every region leaves unbounded (-inf below, +inf above)
+    and every probe holds finite passes every test, so only the other
+    columns are tested, one at a time, into a regions x probes mask. Probes
+    are taken in chunks of at most CHUNK_CELLS mask cells (at least one
+    probe), which bounds the working memory."""
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2:
         raise ValueError(f"probes must be (n, d), got shape {probes.shape}")
     if not regions:
         return np.zeros(probes.shape[0], dtype=np.int64)
-    lower = np.stack([box.lower for box, _value in regions])
-    upper = np.stack([box.upper for box, _value in regions])
-    chunk = max(1, CHUNK_CELLS // max(1, lower.size))
+    lower = np.array([box.lower for box, _value in regions]).T
+    upper = np.array([box.upper for box, _value in regions]).T
+    columns = np.ascontiguousarray(probes.T)
+    tested = (lower != -np.inf).any(axis=1) | (upper != np.inf).any(axis=1)
+    tested |= ~np.isfinite(columns).all(axis=1)
+    lower, upper = lower[tested, :, None], upper[tested, :, None]
+    chunk = max(1, CHUNK_CELLS // len(regions))
     counts = np.empty(probes.shape[0], dtype=np.int64)
     for start in range(0, probes.shape[0], chunk):
-        p = probes[start : start + chunk, None, :]
-        inside = (lower[None, :, :] < p) & (p <= upper[None, :, :])
-        counts[start : start + chunk] = inside.all(axis=2).sum(axis=1)
+        p = columns[tested, start : start + chunk]
+        inside = np.ones((len(regions), p.shape[1]), dtype=bool)
+        for column, low, high in zip(p, lower, upper):
+            inside &= low < column
+            inside &= column <= high
+        counts[start : start + chunk] = inside.sum(axis=0)
     return counts
 
 

@@ -1,7 +1,9 @@
-"""Slow references for split finding and tree growth, used to cross-check
-the vectorized implementation. Deliberately obvious: every midpoint of
-every feature is tried with a fresh mask and two direct SSE computations,
-and the reference grower searches each node's rows afresh, depth first.
+"""Slow references for split finding, tree growth and the leaf-partition
+count, used to cross-check the vectorized implementation. Deliberately
+obvious: every midpoint of every feature is tried with a fresh mask and two
+direct SSE computations, the reference grower searches each node's rows
+afresh, depth first, and the partition count tests every bound of every
+region on every probe.
 """
 
 import numpy as np
@@ -67,3 +69,15 @@ def grow_tree(X: np.ndarray, y: np.ndarray, params, rng) -> dict:
     build(np.arange(y.size), 0)
     fields = ("feature", "threshold", "left", "right", "value", "n_samples")
     return {field: np.array(column) for field, column in zip(fields, zip(*nodes))}
+
+
+def count_containing_regions(regions, probes) -> np.ndarray:
+    """How many of the (box, value) regions hold each probe, from one
+    probes x regions x features cube of bound tests."""
+    probes = np.asarray(probes, dtype=np.float64)
+    if not regions:
+        return np.zeros(probes.shape[0], dtype=np.int64)
+    lower = np.stack([box.lower for box, _value in regions])
+    upper = np.stack([box.upper for box, _value in regions])
+    p = probes[:, None, :]
+    return ((lower[None] < p) & (p <= upper[None])).all(axis=2).sum(axis=1)

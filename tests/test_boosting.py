@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from boostcontrib import (
     save_model,
     train_test_split,
 )
+from boostcontrib import boosting, cart
 from boostcontrib.experiments import OUTLIER_CONFIG
+from boostcontrib.kernel import FlatForest
 from conftest import D0_X, build_synthetic, random_ensemble, tree_of
 
 
@@ -51,6 +55,54 @@ def json_dump_text(ens) -> str:
         "feature_names": list(ens.feature_names), "trees": trees,
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+# Single-fault trees, as (mangle of a node list, message). In d0_one_tree,
+# root 0 splits into leaf 1 and node 2, which splits into leaves 3 and 4.
+MALFORMED_TREES = [
+    (lambda nodes: nodes[0].update(left=0), "node id 0 is reached twice"),
+    (lambda nodes: nodes[2].update(left=0), "node id 0 is reached twice"),
+    (lambda nodes: nodes[2].update(left=1), "node id 1 is reached twice"),
+    # Every node has one parent, but nodes 2 and 4 hang off a loop.
+    (
+        lambda nodes: (nodes[0].update(right=3), nodes[2].update(left=2)),
+        "node id 2 is not reached",
+    ),
+    (
+        lambda nodes: nodes[2].update(
+            feature=None, threshold=None, left=None, right=None
+        ),
+        "node id 3 is not reached",
+    ),
+    (lambda nodes: nodes[0].update(id=[0]), r"node id must be an integer, got \[0\]"),
+    (lambda nodes: nodes[0].update(id=True), "node id must be an integer"),
+    (lambda nodes: nodes[0].update(left=[1]), r"unknown node id \[1\]"),
+    (lambda nodes: nodes[1].update(value=[1]), r"node value must be a number, got \[1\]"),
+    (lambda nodes: nodes[1].update(value="1.5"), "node value must be a number"),
+    (lambda nodes: nodes[1].update(value=float("nan")), "node value must be finite"),
+    (lambda nodes: nodes[0].update(threshold=[0.5]), "split threshold must be a number"),
+    (
+        lambda nodes: nodes[0].update(threshold=float("-inf")),
+        "split threshold must be finite",
+    ),
+    (lambda nodes: nodes[1].update(n_samples=[2]), "node n_samples must be an integer"),
+    (lambda nodes: nodes[1].update(n_samples=True), "node n_samples must be an integer"),
+    (lambda nodes: nodes[1].update(n_samples=0), "node n_samples must be positive"),
+    (lambda nodes: nodes[1].update(n_samples=10**400), "node n_samples must be finite"),
+    (lambda nodes: nodes[1].update(n_samples=2**63), "n_samples must be .* fit in 64 bits"),
+    (lambda nodes: nodes[0].update(feature=[0]), "split feature must be an integer"),
+    (lambda nodes: nodes[0].update(feature=0.0), "split feature must be an integer"),
+    (
+        lambda nodes: nodes[0].update(n_samples=5),
+        r"n_samples 5 is not the sum of its children's \(2 \+ 2\)",
+    ),
+]
+MALFORMED_TREE_IDS = [
+    "self-loop", "cycle", "shared-child", "loop-apart-from-root", "orphan", "list-id",
+    "bool-id", "list-child", "list-value", "string-value", "nan-value", "list-threshold",
+    "inf-threshold", "list-n_samples", "bool-n_samples", "zero-n_samples", "huge-n_samples",
+    "int64-n_samples", "list-feature", "float-feature", "unbalanced-n_samples",
+]
 
 
 def trees_equal(a, b) -> bool:
@@ -334,55 +386,7 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="feature 7 out of range"):
             load_model(path)
 
-    # d0_one_tree: root 0 splits into leaf 1 and node 2, which splits into
-    # leaves 3 and 4.
-    @pytest.mark.parametrize(
-        "mangle, message",
-        [
-            (lambda nodes: nodes[0].update(left=0), "node id 0 is reached twice"),
-            (lambda nodes: nodes[2].update(left=0), "node id 0 is reached twice"),
-            (lambda nodes: nodes[2].update(left=1), "node id 1 is reached twice"),
-            # Every node has one parent, but nodes 2 and 4 hang off a loop.
-            (
-                lambda nodes: (nodes[0].update(right=3), nodes[2].update(left=2)),
-                "node id 2 is not reached",
-            ),
-            (
-                lambda nodes: nodes[2].update(
-                    feature=None, threshold=None, left=None, right=None
-                ),
-                "node id 3 is not reached",
-            ),
-            (lambda nodes: nodes[0].update(id=[0]), r"node id must be an integer, got \[0\]"),
-            (lambda nodes: nodes[0].update(id=True), "node id must be an integer"),
-            (lambda nodes: nodes[0].update(left=[1]), r"unknown node id \[1\]"),
-            (lambda nodes: nodes[1].update(value=[1]), r"node value must be a number, got \[1\]"),
-            (lambda nodes: nodes[1].update(value="1.5"), "node value must be a number"),
-            (lambda nodes: nodes[1].update(value=float("nan")), "node value must be finite"),
-            (lambda nodes: nodes[0].update(threshold=[0.5]), "split threshold must be a number"),
-            (
-                lambda nodes: nodes[0].update(threshold=float("-inf")),
-                "split threshold must be finite",
-            ),
-            (lambda nodes: nodes[1].update(n_samples=[2]), "node n_samples must be an integer"),
-            (lambda nodes: nodes[1].update(n_samples=True), "node n_samples must be an integer"),
-            (lambda nodes: nodes[1].update(n_samples=0), "node n_samples must be positive"),
-            (lambda nodes: nodes[1].update(n_samples=10**400), "node n_samples must be finite"),
-            (lambda nodes: nodes[1].update(n_samples=2**63), "n_samples must be .* fit in 64 bits"),
-            (lambda nodes: nodes[0].update(feature=[0]), "split feature must be an integer"),
-            (lambda nodes: nodes[0].update(feature=0.0), "split feature must be an integer"),
-            (
-                lambda nodes: nodes[0].update(n_samples=5),
-                r"n_samples 5 is not the sum of its children's \(2 \+ 2\)",
-            ),
-        ],
-        ids=[
-            "self-loop", "cycle", "shared-child", "loop-apart-from-root", "orphan", "list-id",
-            "bool-id", "list-child", "list-value", "string-value", "nan-value", "list-threshold",
-            "inf-threshold", "list-n_samples", "bool-n_samples", "zero-n_samples", "huge-n_samples",
-            "int64-n_samples", "list-feature", "float-feature", "unbalanced-n_samples",
-        ],
-    )
+    @pytest.mark.parametrize("mangle, message", MALFORMED_TREES, ids=MALFORMED_TREE_IDS)
     def test_load_rejects_malformed_tree(self, d0_one_tree, tmp_path, mangle, message):
         path = self._mangle(d0_one_tree, tmp_path, lambda p: mangle(p["trees"][0]["nodes"]))
         with pytest.raises(ModelFormatError, match=message):
@@ -420,6 +424,107 @@ class TestPersistence:
         loaded = load_model(path)
         for x, want in zip(D0_X, [0.0, 0.0, 10.0, 20.0]):
             assert gbdt_predict(loaded, x) == want
+
+    @pytest.mark.parametrize("mangle, message", MALFORMED_TREES, ids=MALFORMED_TREE_IDS)
+    def test_fault_in_a_middle_tree_reads_as_in_a_lone_tree(
+        self, d0_one_tree, tmp_path, mangle, message
+    ):
+        # Fields are checked over all trees' nodes at once; a fault must
+        # still be named as the per-tree check named it.
+        lone = self._mangle(d0_one_tree, tmp_path, lambda p: mangle(p["trees"][0]["nodes"]))
+        with pytest.raises(ModelFormatError, match=message) as alone:
+            load_model(lone)
+
+        def plant(payload):
+            payload["trees"] = [copy.deepcopy(payload["trees"][0]) for _ in range(3)]
+            mangle(payload["trees"][1]["nodes"])
+
+        with pytest.raises(ModelFormatError) as middle:
+            load_model(self._mangle(d0_one_tree, tmp_path, plant))
+        assert str(middle.value) == str(alone.value)
+
+    def test_ids_name_nodes_within_their_tree(self, d0_dataset, tmp_path):
+        # Tree 0 names its nodes 10, 5, 7 and tree 1 names them 5, 10, 7,
+        # listed in reverse.
+        params = GbdtParams(n_estimators=2, learning_rate=0.5, cart=CartParams(max_depth=1), seed=0)
+        model = fit_gbdt(d0_dataset, params)
+        assert [tree.value.size for tree in model.trees] == [3, 3]
+        names = ({0: 10, 1: 5, 2: 7}, {0: 5, 1: 10, 2: 7})
+
+        def rename(payload):
+            for tree, name in zip(payload["trees"], names):
+                tree["root"] = name[tree["root"]]
+                for node in tree["nodes"]:
+                    for key in ("id", "left", "right"):
+                        if node[key] is not None:
+                            node[key] = name[node[key]]
+            payload["trees"][1]["nodes"].reverse()
+
+        canonical = tmp_path / "canonical.json"
+        save_model(model, canonical)
+        renamed = load_model(self._mangle(model, tmp_path, rename))
+        X = np.vstack([D0_X, np.random.default_rng(0).uniform(-1, 2, size=(50, 2))])
+        assert predict_batch(renamed, X).tobytes() == predict_batch(load_model(canonical), X).tobytes()
+
+
+class TestStageUpdate:
+    """fit_gbdt reads each row's leaf value off the grower's partition. At
+    every stage the residuals handed to the grower must be, bit for bit,
+    those that routing the rows through each fitted tree with the kernel
+    gives."""
+
+    @staticmethod
+    def assert_residuals_match_the_kernel_update(ds, params):
+        received, grow = [], boosting._grow
+
+        def spy(residual, *args):
+            received.append(residual.copy())
+            return grow(residual, *args)
+
+        with mock.patch.object(boosting, "_grow", spy):
+            model = fit_gbdt(ds, params)
+        assert len(received) == len(model.trees)
+        running = np.full(ds.n_samples, model.f0)
+        for residual, tree in zip(received, model.trees):
+            assert residual.tobytes() == (ds.target - running).tobytes()
+            flat = FlatForest([tree], model.learning_rate)
+            for rows, ids in flat.paths(ds.features):
+                running[rows] = running[rows] + model.learning_rate * flat.leaf_sum(ids)
+
+    def test_outlier_study_data(self, synthetic_500x8):
+        train, _ = train_test_split(synthetic_500x8, OUTLIER_CONFIG.test_fraction, 0)
+        sample = make_outlier(train, "x0")
+        poisoned = Dataset(
+            np.vstack([train.features, sample.x_fake]),
+            np.append(train.target, sample.y_fake),
+            train.feature_names,
+        )
+        self.assert_residuals_match_the_kernel_update(poisoned, OUTLIER_CONFIG.gbdt_params(0))
+
+    def test_tied_and_duplicated_columns(self):
+        # Few distinct values, a duplicated column and integer targets: tied
+        # candidates that split a node's rows differently hold the node.
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(60, 3)).astype(np.float64)
+        data = Dataset(
+            np.column_stack([X, X[:, 0]]), rng.integers(0, 3, size=60).astype(np.float64),
+            ("a", "b", "c", "a2"),
+        )
+        params = GbdtParams(n_estimators=8, learning_rate=1.0, cart=CartParams(max_depth=6), seed=2)
+        grow_held, held = cart._Grower._grow_held, []
+
+        def spy(self, record, pick):
+            held.append(record)
+            return grow_held(self, record, pick)
+
+        with mock.patch.object(cart._Grower, "_grow_held", spy):
+            self.assert_residuals_match_the_kernel_update(data, params)
+        assert held
+
+    def test_depth_one(self):
+        ds = build_synthetic(n=200, d=4, seed=5)
+        params = GbdtParams(n_estimators=20, cart=CartParams(max_depth=1), seed=0)
+        self.assert_residuals_match_the_kernel_update(ds, params)
 
 
 class TestPinnedModels:

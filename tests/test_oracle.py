@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostcontrib import Ensemble, batch_explain, feature_contributions, oracle
+import bruteforce
+from boostcontrib import (
+    CartParams, Dataset, Ensemble, GbdtParams, batch_explain, feature_contributions, fit_gbdt, oracle,
+)
 from boostcontrib.oracle import (
     RegionBox,
     check_partition,
@@ -163,6 +166,43 @@ class TestPartition:
         assert counts.tolist() == slow
 
 
+    @staticmethod
+    def with_non_finite(probes, columns):
+        """probes, then copies of its first three rows holding -inf, +inf and
+        NaN in each of `columns`."""
+        extra = []
+        for j in columns:
+            for k, v in enumerate((-np.inf, np.inf, np.nan)):
+                row = probes[k].copy()
+                row[j] = v
+                extra.append(row)
+        return np.vstack([probes, extra])
+
+    @given(seed=st.integers(0, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_count_equals_the_cube_on_fitted_trees(self, seed):
+        # The last column is constant, so no tree splits on it and no region
+        # bounds it; the probes put -inf, +inf and NaN there and in a
+        # column the trees may split on.
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(5, 80)), int(rng.integers(1, 5))
+        X = np.column_stack([rng.normal(size=(n, d)), np.ones(n)])
+        ds = Dataset(X, rng.normal(size=n), tuple(f"x{j}" for j in range(d + 1)))
+        cart = CartParams(max_depth=int(rng.integers(1, 5)))
+        ens = fit_gbdt(ds, GbdtParams(n_estimators=int(rng.integers(1, 6)), cart=cart, seed=seed))
+        probes = self.with_non_finite(sample_probes(X, 60, seed=seed), [d, int(rng.integers(d))])
+        for tree in ens.trees:
+            regions = enumerate_leaf_regions(tree)
+            counts = count_containing_regions(regions, probes)
+            assert counts.tolist() == bruteforce.count_containing_regions(regions, probes).tolist()
+
+    def test_count_equals_the_cube_on_a_single_leaf_tree(self):
+        regions = enumerate_leaf_regions(tree_of([(1.0, 3)], n_features=2))
+        probes = self.with_non_finite(np.array([[0.0, 0.0], [1e300, -1e300], [-5.0, 2.0]]), [0, 1])
+        counts = count_containing_regions(regions, probes)
+        assert counts.tolist() == bruteforce.count_containing_regions(regions, probes).tolist()
+        assert counts.tolist() == [1, 1, 1] + [0, 1, 0] * 2
+
     @pytest.mark.parametrize("cells", [1, 840, 1 << 20])
     def test_chunked_count_equals_one_pass(self, cells):
         rng = np.random.default_rng(cells)
@@ -170,10 +210,9 @@ class TestPartition:
         upper = lower + rng.uniform(0, 2, size=(40, 3))
         regions = [(RegionBox(lower=a, upper=b), 0.0) for a, b in zip(lower, upper)]
         probes = rng.uniform(-3, 3, size=(101, 3))
-        inside = (lower[None] < probes[:, None]) & (probes[:, None] <= upper[None])
         with mock.patch.object(oracle, "CHUNK_CELLS", cells):
             counts = count_containing_regions(regions, probes)
-        assert counts.tolist() == inside.all(axis=2).sum(axis=1).tolist()
+        assert counts.tolist() == bruteforce.count_containing_regions(regions, probes).tolist()
 
 
 class TestSampleProbes:
