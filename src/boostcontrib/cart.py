@@ -127,7 +127,9 @@ def best_split(
     either side are excluded. Ties within 1e-12 relative of the maximum
     are resolved uniformly at random; rng is consulted only when two or
     more candidates tie, keeping single-winner searches draw-free.
+    Refuses X and y as fit_cart does.
     """
+    X, y = _check_training(X, y)
     n = y.shape[0]
     if n < 2 or (y == y[0]).all():
         return None
@@ -221,13 +223,7 @@ def fit_cart(
     so identical inputs and generator state reproduce the tree node by node.
     Raises ValueError naming the first row of X or y that holds NaN or ±inf.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, d) and y (n,) with matching n")
-    if y.shape[0] < 1 or X.shape[1] < 1:
-        raise ValueError("need at least one sample and one feature")
-    _check_finite(np.column_stack([X, y]))
+    X, y = _check_training(X, y)
     return _grow(y, _presort(X), params, rng)[0]
 
 
@@ -486,6 +482,18 @@ def _partition(block, side):
     cells, sides = block.ravel(), side.take(block).ravel()
     halves = [cells.compress(sides == s).reshape(block.shape[0], -1) for s in (0, 1)]
     return np.concatenate(halves, axis=1)
+
+
+def _check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as finite float arrays of shapes (n, d) and (n,), n, d >= 1."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (n, d) and y (n,) with matching n")
+    if y.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError("need at least one sample and one feature")
+    _check_finite(np.column_stack([X, y]))
+    return X, y
 
 
 def _check_finite(X) -> None:

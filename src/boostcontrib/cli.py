@@ -272,7 +272,8 @@ def _oracle_disagreement(model: Ensemble, X: np.ndarray, bias: float, contributi
 def _partition_violation(model: Ensemble, probes: np.ndarray) -> str | None:
     """The first tree whose leaf regions do not hold every probe exactly once."""
     for t, tree in enumerate(model.trees):
-        if not check_partition(enumerate_leaf_regions(tree), probes):
+        lower, upper, _value = enumerate_leaf_regions(tree)
+        if not check_partition(lower, upper, probes):
             return f"tree {t}: some probe hit != 1 leaf region"
     return None
 

@@ -71,13 +71,9 @@ def grow_tree(X: np.ndarray, y: np.ndarray, params, rng) -> dict:
     return {field: np.array(column) for field, column in zip(fields, zip(*nodes))}
 
 
-def count_containing_regions(regions, probes) -> np.ndarray:
-    """How many of the (box, value) regions hold each probe, from one
+def count_containing_regions(lower, upper, probes) -> np.ndarray:
+    """How many of the regions (lower, upper) hold each probe, from one
     probes x regions x features cube of bound tests."""
     probes = np.asarray(probes, dtype=np.float64)
-    if not regions:
-        return np.zeros(probes.shape[0], dtype=np.int64)
-    lower = np.stack([box.lower for box, _value in regions])
-    upper = np.stack([box.upper for box, _value in regions])
     p = probes[:, None, :]
     return ((lower[None] < p) & (p <= upper[None])).all(axis=2).sum(axis=1)

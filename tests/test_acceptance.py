@@ -142,7 +142,8 @@ def test_criterion_03_oracle_equivalence(sweep):
     for i, run in enumerate(sweep["runs"]):
         probes = sample_probes(run.ds.features, 1000, seed=MASTER_SEED + i)
         for tree in run.ens.trees:
-            assert check_partition(enumerate_leaf_regions(tree), probes)
+            lower, upper, _value = enumerate_leaf_regions(tree)
+            assert check_partition(lower, upper, probes)
             trees += 1
     print(
         f"PASS criterion 3: bit-exact oracle match at {points} points; leaf "

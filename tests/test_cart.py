@@ -57,6 +57,29 @@ class TestBestSplit:
         assert best_split(D0_X, D0_Y, rng_of(), min_gain=225.0) is None
         assert best_split(D0_X, D0_Y, rng_of(), min_gain=224.9) is not None
 
+    @pytest.mark.parametrize(
+        "X, y, expected",
+        [
+            ([[0.0, np.nan]] + D0_X[1:].tolist(), D0_Y, "row 0 holds a non-finite value"),
+            ([[np.inf, 0.0]] + D0_X[1:].tolist(), D0_Y, "row 0 holds a non-finite value"),
+            (D0_X, [0.0, 0.0, np.nan, 0.0], "row 2 holds a non-finite value"),
+            (D0_X, D0_Y[:3], "matching n"),
+            (D0_X[:, 0], D0_Y, "matching n"),
+            (np.zeros((0, 2)), np.zeros(0), "at least one sample"),
+            (np.zeros((4, 0)), D0_Y, "one feature"),
+            (D0_X.tolist(), D0_Y.tolist(), (0, 0.5, 225.0)),
+            (D0_X.astype(int), D0_Y.astype(int), (0, 0.5, 225.0)),
+        ],
+        ids=["nan-x", "inf-x", "nan-y", "short-y", "1d-x", "no-rows", "no-columns", "lists", "ints"],
+    )
+    def test_input_is_checked_as_fit_cart_checks_it(self, X, y, expected):
+        if not isinstance(expected, str):
+            assert best_split(X, y, rng_of()) == expected
+            return
+        for call in (best_split, lambda X, y, rng: fit_cart(X, y, CartParams(max_depth=2), rng)):
+            with pytest.raises(ValueError, match=expected):
+                call(X, y, rng_of())
+
     @given(
         n=st.integers(2, 25),
         d=st.integers(1, 3),

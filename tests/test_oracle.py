@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import bruteforce
 from boostcontrib import (
     CartParams, Dataset, Ensemble, GbdtParams, batch_explain, feature_contributions, fit_gbdt, oracle,
+    predict_batch,
 )
 from boostcontrib.oracle import (
-    RegionBox,
     check_partition,
     count_containing_regions,
     enumerate_leaf_regions,
@@ -46,8 +46,18 @@ class TestNaiveContributions:
             naive_contributions(d0_two_trees, np.array([1.0]))
         with pytest.raises(ValueError, match="2 features"):
             naive_contributions(d0_two_trees, np.ones((1, 2)))
-        with pytest.raises(ValueError, match="2 features"):
+        with pytest.raises(ValueError, match=r"expected shape \(n, 2\)"):
             naive_contributions_batch(d0_two_trees, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_refused_as_predict_batch_refuses_it(self, d0_two_trees, bad):
+        X = np.array([[0.0, 1.0], [bad, 0.0]])
+        message = "row 1 holds a non-finite value"
+        for call in (predict_batch, naive_contributions_batch):
+            with pytest.raises(ValueError, match=message):
+                call(d0_two_trees, X)
+        with pytest.raises(ValueError, match="row 0 holds a non-finite value"):
+            naive_contributions(d0_two_trees, X[1])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_batch_is_bit_equal_to_the_kernel(self, seed):
@@ -84,34 +94,20 @@ class TestNaiveContributions:
         assert not names & {"flat", "FlatForest", "decision_path", "tree_predict"}
 
 
-class TestRegionBox:
-    def test_upper_bound_is_closed(self):
-        box = RegionBox(lower=np.array([0.0]), upper=np.array([1.0]))
-        assert box.contains(np.array([1.0]))
-        assert not box.contains(np.array([1.0000001]))
-
-    def test_lower_bound_is_open(self):
-        box = RegionBox(lower=np.array([0.0]), upper=np.array([1.0]))
-        assert not box.contains(np.array([0.0]))
-        assert box.contains(np.array([0.0000001]))
-
-
 class TestLeafRegions:
     def test_d0_tree_regions(self, d0_one_tree):
-        regions = enumerate_leaf_regions(d0_one_tree.trees[0])
-        assert len(regions) == 3
-        boxes = {
-            value: (box.lower.tolist(), box.upper.tolist()) for box, value in regions
-        }
+        lower, upper, value = enumerate_leaf_regions(d0_one_tree.trees[0])
         inf = np.inf
-        assert boxes[-7.5] == ([-inf, -inf], [0.5, inf])
-        assert boxes[2.5] == ([0.5, -inf], [inf, 0.5])
-        assert boxes[12.5] == ([0.5, 0.5], [inf, inf])
+        assert value.tolist() == [-7.5, 2.5, 12.5]
+        assert lower.tolist() == [[-inf, -inf], [0.5, -inf], [0.5, 0.5]]
+        assert upper.tolist() == [[0.5, inf], [inf, 0.5], [inf, inf]]
 
     def test_one_region_per_leaf(self, d0_two_trees):
         for tree in d0_two_trees.trees:
             n_leaves = int(tree.is_leaf.sum())
-            assert len(enumerate_leaf_regions(tree)) == n_leaves
+            lower, upper, value = enumerate_leaf_regions(tree)
+            assert lower.shape == upper.shape == (n_leaves, tree.n_features)
+            assert value.tolist() == tree.value[tree.is_leaf].tolist()
 
     def test_single_leaf_tree_covers_everything(self):
         import boostcontrib
@@ -120,9 +116,9 @@ class TestLeafRegions:
             np.array([[0.0]]), np.array([1.0]),
             boostcontrib.CartParams(max_depth=3), np.random.default_rng(0),
         )
-        (box, value), = enumerate_leaf_regions(tree)
-        assert value == 1.0
-        assert box.contains(np.array([1e300])) and box.contains(np.array([-1e300]))
+        lower, upper, value = enumerate_leaf_regions(tree)
+        assert value.tolist() == [1.0]
+        assert count_containing_regions(lower, upper, [[1e300], [-1e300]]).tolist() == [1, 1]
 
 
 class TestPartition:
@@ -133,38 +129,35 @@ class TestPartition:
         ds, ens = random_ensemble(rng)
         probes = sample_probes(ds.features, 200, seed=seed)
         for tree in ens.trees:
-            assert check_partition(enumerate_leaf_regions(tree), probes)
+            lower, upper, _value = enumerate_leaf_regions(tree)
+            assert check_partition(lower, upper, probes)
 
     def test_missing_region_is_detected(self, d0_one_tree):
-        regions = enumerate_leaf_regions(d0_one_tree.trees[0])
+        lower, upper, _value = enumerate_leaf_regions(d0_one_tree.trees[0])
         probes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        assert check_partition(regions, probes)
-        assert not check_partition(regions[:-1], probes)
+        assert check_partition(lower, upper, probes)
+        assert not check_partition(lower[:-1], upper[:-1], probes)
 
     def test_overlapping_region_is_detected(self, d0_one_tree):
-        regions = enumerate_leaf_regions(d0_one_tree.trees[0])
+        lower, upper, _value = enumerate_leaf_regions(d0_one_tree.trees[0])
         probes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        assert not check_partition(regions + [regions[0]], probes)
+        assert not check_partition(lower[[0, 1, 2, 0]], upper[[0, 1, 2, 0]], probes)
 
     def test_empty_region_list(self):
-        assert not check_partition([], np.zeros((1, 2)))
-        assert check_partition([], np.zeros((0, 2)))
+        none = np.zeros((0, 2))
+        assert count_containing_regions(none, none, np.zeros((3, 2))).tolist() == [0, 0, 0]
+        assert not check_partition(none, none, np.zeros((1, 2)))
+        assert check_partition(none, none, np.zeros((0, 2)))
 
-    @given(seed=st.integers(0, 2000))
-    @settings(max_examples=30, deadline=None)
-    def test_vectorized_count_matches_scalar_contains(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 4))
-        regions = []
-        for _ in range(int(rng.integers(1, 6))):
-            a = rng.uniform(-2, 2, size=d)
-            b = a + rng.uniform(0, 2, size=d)
-            regions.append((RegionBox(lower=a, upper=b), 0.0))
-        probes = rng.uniform(-3, 3, size=(20, d))
-        counts = count_containing_regions(regions, probes)
-        slow = [sum(1 for box, _ in regions if box.contains(x)) for x in probes]
-        assert counts.tolist() == slow
+    def test_lower_bound_is_open_and_upper_bound_closed(self):
+        lower, upper = np.array([[0.0]]), np.array([[1.0]])
+        probes = [[0.0], [0.0000001], [1.0], [1.0000001]]
+        assert count_containing_regions(lower, upper, probes).tolist() == [0, 1, 1, 0]
 
+    def test_probe_width_must_match_the_regions(self, d0_one_tree):
+        lower, upper, _value = enumerate_leaf_regions(d0_one_tree.trees[0])
+        with pytest.raises(ValueError, match=r"must be \(n, 2\) like the regions, got shape \(4, 3\)"):
+            count_containing_regions(lower, upper, np.zeros((4, 3)))
 
     @staticmethod
     def with_non_finite(probes, columns):
@@ -191,16 +184,19 @@ class TestPartition:
         cart = CartParams(max_depth=int(rng.integers(1, 5)))
         ens = fit_gbdt(ds, GbdtParams(n_estimators=int(rng.integers(1, 6)), cart=cart, seed=seed))
         probes = self.with_non_finite(sample_probes(X, 60, seed=seed), [d, int(rng.integers(d))])
-        for tree in ens.trees:
-            regions = enumerate_leaf_regions(tree)
-            counts = count_containing_regions(regions, probes)
-            assert counts.tolist() == bruteforce.count_containing_regions(regions, probes).tolist()
+        regions = [enumerate_leaf_regions(tree)[:2] for tree in ens.trees]
+        # Random boxes need not tile the space: a probe may lie in none or in several.
+        boxes = rng.uniform(-2, 2, size=(int(rng.integers(1, 6)), d + 1))
+        regions.append((boxes, boxes + rng.uniform(0, 2, size=boxes.shape)))
+        for lower, upper in regions:
+            counts = count_containing_regions(lower, upper, probes)
+            assert counts.tolist() == bruteforce.count_containing_regions(lower, upper, probes).tolist()
 
     def test_count_equals_the_cube_on_a_single_leaf_tree(self):
-        regions = enumerate_leaf_regions(tree_of([(1.0, 3)], n_features=2))
+        lower, upper, _value = enumerate_leaf_regions(tree_of([(1.0, 3)], n_features=2))
         probes = self.with_non_finite(np.array([[0.0, 0.0], [1e300, -1e300], [-5.0, 2.0]]), [0, 1])
-        counts = count_containing_regions(regions, probes)
-        assert counts.tolist() == bruteforce.count_containing_regions(regions, probes).tolist()
+        counts = count_containing_regions(lower, upper, probes)
+        assert counts.tolist() == bruteforce.count_containing_regions(lower, upper, probes).tolist()
         assert counts.tolist() == [1, 1, 1] + [0, 1, 0] * 2
 
     @pytest.mark.parametrize("cells", [1, 840, 1 << 20])
@@ -208,11 +204,10 @@ class TestPartition:
         rng = np.random.default_rng(cells)
         lower = rng.uniform(-2, 2, size=(40, 3))
         upper = lower + rng.uniform(0, 2, size=(40, 3))
-        regions = [(RegionBox(lower=a, upper=b), 0.0) for a, b in zip(lower, upper)]
         probes = rng.uniform(-3, 3, size=(101, 3))
         with mock.patch.object(oracle, "CHUNK_CELLS", cells):
-            counts = count_containing_regions(regions, probes)
-        assert counts.tolist() == bruteforce.count_containing_regions(regions, probes).tolist()
+            counts = count_containing_regions(lower, upper, probes)
+        assert counts.tolist() == bruteforce.count_containing_regions(lower, upper, probes).tolist()
 
 
 class TestSampleProbes:
