@@ -3,15 +3,16 @@
 The ensemble prediction is f0 + learning_rate * sum of tree outputs, with
 f0 fixed to the training-target mean and the learning rate applied
 uniformly to every tree (never to f0). Tree l draws its random state from
-``np.random.default_rng([seed, l])`` with l counted from 1, so growing an
-ensemble never perturbs the trees already fit; stream [seed, 0] is left
-free for callers (the experiment runners use it).
+``np.random.default_rng([seed, l])`` with l counted from 1, also where fits
+grow together (the studies do): the streams are per fit and unchanged. So
+growing an ensemble never perturbs the trees already fit; stream [seed, 0]
+is left free for callers (the experiment runners use it).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 
@@ -77,25 +78,31 @@ def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
     running model takes each row's leaf value from the grower's partition
     of the rows, which is the one `x <= threshold` routing gives: no row is
     traversed."""
-    presorted = _presort(ds.features)
-    f0 = float(np.mean(ds.target))
-    running = np.full(ds.n_samples, f0, dtype=np.float64)
-    trees: list[Tree] = []
+    return _fit_group([ds], params, [params.seed])[0]
+
+
+def _fit_group(datasets: list[Dataset], params: GbdtParams, seeds) -> list[Ensemble]:
+    """fit_gbdt(ds, params with seed s) for each ds of `datasets`, all with
+    as many features, and s of `seeds`. Stage l of every fit is grown by one
+    grower over the fits' stacked rows; each fit's tree still draws from its
+    own stream [s, l], and each row's running value and residual are the
+    bits its fit alone gives, so every model equals its separate fit."""
+    f0 = [float(np.mean(ds.target)) for ds in datasets]
+    presorted = _presort([ds.features for ds in datasets])
+    target = np.concatenate([ds.target for ds in datasets])
+    running = np.repeat(f0, presorted[2])
+    stages: list[list[Tree]] = []
     for l in range(1, params.n_estimators + 1):
-        residual = ds.target - running
-        rng = np.random.default_rng([params.seed, l])
-        tree, leaf_value = _grow(residual, presorted, params.cart, rng)
+        rngs = [np.random.default_rng([seed, l]) for seed in seeds]
+        grown, leaf_value = _grow(target - running, presorted, params.cart, rngs)
         # + 0.0 turns -0.0 into +0.0, as the kernel's leaf sum (a bincount from
         # +0.0) does, so the running model keeps the bits that update gave.
         running = running + params.learning_rate * (leaf_value + 0.0)
-        trees.append(tree)
-    return Ensemble(
-        f0=f0,
-        learning_rate=params.learning_rate,
-        trees=trees,
-        feature_names=ds.feature_names,
-        params=params,
-    )
+        stages.append(grown)
+    return [
+        Ensemble(f, params.learning_rate, list(trees), ds.feature_names, replace(params, seed=seed))
+        for f, trees, ds, seed in zip(f0, zip(*stages), datasets, seeds)
+    ]
 
 
 def gbdt_predict(ens: Ensemble, x) -> float:

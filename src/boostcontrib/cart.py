@@ -31,6 +31,11 @@ RELATIVE_TIE_TOLERANCE = 1e-12
 # 20 features, shared 2-core x86_64 machine.
 PAD_CELLS = 1024
 
+# One search holds at most this many (node, row, feature) cells unless it
+# holds one node, bounding its temporaries on wide levels of fits grown
+# together; measured on the outlier study's fits, shared 2-core x86_64.
+SEARCH_CELLS = 2**13
+
 
 @dataclass(frozen=True)
 class CartParams:
@@ -175,7 +180,7 @@ def _search(Xt, y, slab, counts, total, total_sq, min_samples_leaf, min_gain):
     n_right = np.maximum(n - n_left, 1.0)  # n - n_left wherever a candidate is valid
 
     # sse = sum of squares - sum * sum / count, on each side of each candidate
-    right_sum = total - left_sum
+    right_sum = np.subtract(total, left_sum, out=ys)  # into spent arrays: six slab-sized ones at most
     right_sq = total_sq - left_sq
     left_sum *= left_sum
     left_sum /= n_left
@@ -183,7 +188,7 @@ def _search(Xt, y, slab, counts, total, total_sq, min_samples_leaf, min_gain):
     right_sum *= right_sum
     right_sum /= n_right
     right_sq -= right_sum
-    gain = (total_sq - total * total / n) - left_sq
+    gain = np.subtract(total_sq - total * total / n, left_sq, out=left_sq)
     gain -= right_sq
 
     invalid = xs[:, :-1] == xs[:, 1:]
@@ -224,42 +229,49 @@ def fit_cart(
     Raises ValueError naming the first row of X or y that holds NaN or ±inf.
     """
     X, y = _check_training(X, y)
-    return _grow(y, _presort(X), params, rng)[0]
+    return _grow(y, _presort([X]), params, [rng])[0][0]
 
 
-def _presort(X):
-    """What growing any tree on X starts from: X transposed, the root's
-    block (see _Grower) and, per column, the first column whose candidates
-    always split a node's rows as its own do, because both order the rows
-    alike and tie the same neighbours (a column and its increasing copy)."""
-    Xt = np.ascontiguousarray(X.T)
-    order = Xt.argsort(axis=1, kind="stable")
-    ties = np.take_along_axis(Xt, order, axis=1)
-    ties = ties[:, 1:] == ties[:, :-1]
+def _presort(Xs):
+    """What growing one tree on each X of Xs at once starts from: their rows
+    stacked and transposed, the roots' block (see _Grower), each X's row
+    count and, per column, the first column whose candidates always split a
+    node's rows as its own do in every X, because both order the rows alike
+    and tie the same neighbours (a column and its increasing copy)."""
+    Xts = [np.ascontiguousarray(X.T) for X in Xs]
+    blocks, keys, counts = [], [], [X.shape[0] for X in Xs]
+    for Xt, offset in zip(Xts, accumulate(counts, initial=0)):
+        order = Xt.argsort(axis=1, kind="stable")
+        ties = np.take_along_axis(Xt, order, axis=1)
+        ties = ties[:, 1:] == ties[:, :-1]
+        keys.append([o.tobytes() + t.tobytes() for o, t in zip(order, ties)])
+        blocks.append(np.concatenate([order, np.arange(Xt.shape[1])[None]]) + offset)
     first = {}
-    same_as = [first.setdefault(o.tobytes() + t.tobytes(), j) for j, (o, t) in enumerate(zip(order, ties))]
-    return Xt, np.concatenate([order, np.arange(X.shape[0])[None]]), same_as
+    same_as = [first.setdefault(key, j) for j, key in enumerate(zip(*keys))]
+    return np.concatenate(Xts, axis=1), np.concatenate(blocks, axis=1), counts, same_as
 
 
-def _grow(y, presorted, params: CartParams, rng) -> tuple[Tree, np.ndarray]:
-    """fit_cart on finite float arrays, given _presort(X); also returns the
-    value of the leaf each row of X falls in, read off the grower's own
-    partition of the rows."""
-    Xt, block, same_as = presorted
+def _grow(y, presorted, params: CartParams, rngs) -> tuple[list[Tree], np.ndarray]:
+    """fit_cart on finite float arrays, given _presort(Xs) and y the Xs'
+    targets stacked: the tree of each X, drawing from its own rng of rngs.
+    Also returns the value of the leaf each stacked row falls in, read off
+    the grower's own partition of the rows."""
+    Xt, block, counts, same_as = presorted
     grower = _Grower(Xt, y, params, same_as)
-    root = grower.grow(block, [y.size], 0)
-    tree = grower.walk(root, rng)
-    return tree, np.array(grower.value).take(grower.leaf)
+    grower.grow(block, counts, 0)
+    return grower.walk(rngs), np.array(grower.value).take(grower.leaf)
 
 
 _LEAF_CANDIDATE = np.zeros((3, 1))  # feature, low, high
 
 
 class _Grower:
-    """One tree grown level by level, then numbered by a preorder walk.
+    """Trees grown level by level, then numbered by a preorder walk.
 
-    The tree is the one a depth-first recursion grows that calls best_split
+    Each tree is the one a depth-first recursion grows that calls best_split
     on each node's rows, draws as it goes and numbers nodes in preorder.
+    The trees of independent fits grow together, one root per fit, their
+    rows stacked: every node holds one fit's rows, so none sees another's.
     A level's nodes are runs of one block: for j < d, row j of the block
     lists each node's rows sorted by (X[:, j], row), as a stable argsort
     of the node's own rows orders them, and row d lists them in increasing
@@ -269,21 +281,23 @@ class _Grower:
     node's own bits. Nodes of similar sizes are searched together, padded
     (`_runs`).
 
-    The rng waits for the walk, which draws at each tied node in the order
-    the recursion would. A tied node whose candidates all split its rows
-    into the same two sets has its children grown with the level; the draw
-    only picks the split and which child is left. A tied node whose
-    candidates split its rows differently is held: it stays a leaf until
-    the walk has drawn its split (`_grow_held`).
+    The rngs wait for the walk, which visits the roots in turn and draws at
+    each tied node from its root's rng, in the order the recursion would.
+    A tied node whose candidates all split its rows into the same two sets
+    has its children grown with the level; the draw only picks the split
+    and which child is left. A tied node whose candidates split its rows
+    differently is held: it stays a leaf until the walk has drawn its split
+    (`_grow_held`).
 
     Nodes are "records" here, numbered as they are grown. Per record, the
     walk reads `n_cand` candidates from `first` on, and the children `left`
     and `right` of the first candidate's split, -1 at a leaf or a held node.
     Candidates are numbered as found; `cands` keeps their features and the
     values `low` and `high` their thresholds lie between, a search at a
-    time. `swaps` holds the candidates that swap their node's children, and
-    `held` what a held node's growth needs. `leaf` holds each row's record
-    at the deepest level grown so far, so its leaf's once the tree is grown.
+    time. `swap` flags, per candidate, one that swaps its node's children,
+    and `held` holds what a held node's growth needs. `leaf` holds each
+    row's record at the deepest level grown so far, so its leaf's once the
+    trees are grown.
     """
 
     def __init__(self, Xt, y, params: CartParams, same_as):
@@ -295,7 +309,7 @@ class _Grower:
         self.leaf = np.empty(y.size, dtype=np.intp)
         self.value, self.n_samples, self.n_cand, self.first, self.left, self.right = [], [], [], [], [], []
         self.cands, self.n_stored = [], 0
-        self.swaps, self.held = set(), {}
+        self.swap, self.held = bytearray(), {}
 
     def grow(self, block, counts, depth) -> int:
         """Grow the nodes that `block` lists, counts[q] rows for node q, at
@@ -356,8 +370,10 @@ class _Grower:
                 params.min_samples_leaf, params.min_gain,
             )
             self.cands.append(np.array([f, low, high]))
-            i, f = i.tolist(), f.tolist()
-            for c, (q, i_c, f_c) in enumerate(zip(node.tolist(), i, f), start=self.n_stored):
+            self.swap += bytes(i.size)
+            level_i.append(i)
+            level_f.append(f)
+            for c, (q, i_c, f_c) in enumerate(zip(node.tolist(), i.tolist(), f.tolist()), start=self.n_stored):
                 q = run[q][1]
                 if not self.n_cand[base + q]:
                     self.first[base + q] = c
@@ -365,9 +381,7 @@ class _Grower:
                 elif i_c + 1 != n_left[q] or self.same_as[f_c] != self.same_as[f_left[q]]:
                     tied.append(q)  # may split the rows another way
                 self.n_cand[base + q] += 1
-            self.n_stored += len(i)
-            level_i += i
-            level_f += f
+            self.n_stored += i.size
         if not n_left:
             return None, []
 
@@ -398,7 +412,7 @@ class _Grower:
             (q, c) for q in tied for c in range(self.first[base + q], self.first[base + q] + self.n_cand[base + q])
         ]
         node, c = (np.array(column) for column in zip(*cands))
-        i, f = np.array(level_i).take(c - c0), np.array(level_f).take(c - c0)
+        i, f = np.concatenate(level_i).take(c - c0), np.concatenate(level_f).take(c - c0)
         # The first candidate's left rows among each candidate's first i + 1.
         lengths = i + 1
         ends = lengths.cumsum()
@@ -408,7 +422,8 @@ class _Grower:
         n_l = np.array([n_left[q] for q, _ in cands])
         swaps = (lengths == np.array(counts).take(node) - n_l) & (in_prefix == 0)
         agrees = swaps | ((lengths == n_l) & (in_prefix == n_l))
-        self.swaps.update(c[swaps].tolist())
+        for c_swap in c[swaps].tolist():
+            self.swap[c_swap] = 1
         for q in set(node[~agrees].tolist()):
             own = node == q
             self.side[block[-1, starts[q]:starts[q + 1]]] = 2
@@ -424,52 +439,57 @@ class _Grower:
         self.side[block[features[pick], :n_left]] = 0
         return self.grow(_partition(block, self.side), [n_left, block.shape[1] - n_left], depth + 1)
 
-    def walk(self, root, rng) -> Tree:
-        """The tree with records numbered in preorder, left subtree first,
-        drawing each tied node's split when the walk reaches it."""
+    def walk(self, rngs) -> list[Tree]:
+        """The trees of roots 0, 1, ..., each with its records numbered in
+        preorder, left subtree first, drawing each tied node's split from
+        its root's rng when the walk reaches it."""
         left, right, first, n_cand = self.left, self.right, self.first, self.n_cand
-        visit, chosen, stack = [], [], [root]
-        while stack:
-            record = stack.pop()
-            visit.append(record)
-            m = n_cand[record]
-            if not m:
-                chosen.append(-1)
-                continue
-            c = first[record]
-            if m > 1:
-                pick = int(rng.integers(m))
-                c += pick
-                if record in self.held:
-                    left[record] = self._grow_held(record, pick)
-                    right[record] = left[record] + 1
-                elif c in self.swaps:
-                    left[record], right[record] = right[record], left[record]
-            chosen.append(c)
-            stack += (right[record], left[record])
+        visit, chosen, ends = [], [], []
+        for root, rng in enumerate(rngs):
+            stack = [root]
+            while stack:
+                record = stack.pop()
+                visit.append(record)
+                m = n_cand[record]
+                if not m:
+                    chosen.append(-1)
+                    continue
+                c = first[record]
+                if m > 1:
+                    pick = int(rng.integers(m))
+                    c += pick
+                    if record in self.held:
+                        left[record] = self._grow_held(record, pick)
+                        right[record] = left[record] + 1
+                    elif self.swap[c]:
+                        left[record], right[record] = right[record], left[record]
+                chosen.append(c)
+                stack += (right[record], left[record])
+            ends.append(len(visit))
+        starts = [0, *ends[:-1]]
         visit, chosen = np.array(visit), np.array(chosen)
-        ids = np.empty(visit.size, dtype=np.int64)
-        ids[visit] = own = np.arange(visit.size)
+        ids = np.empty(len(n_cand), dtype=np.int64)
+        ids[visit] = own = np.arange(visit.size) - np.repeat(starts, np.subtract(ends, starts))
         left, right = np.where(chosen < 0, own, ids.take(np.array([left, right]).take(visit, axis=1)))
         # A leaf's `chosen` of -1 picks an appended feature 0 and bounds 0.0, so threshold 0.0.
         feature, low, high = np.concatenate([*self.cands, _LEAF_CANDIDATE], axis=1).take(chosen, axis=1)
         value, n_samples = np.array(self.value).take(visit), np.array(self.n_samples).take(visit)
-        return Tree(
-            feature.astype(np.int64), _threshold(low, high), left, right, value, n_samples,
-            n_features=self.Xt.shape[0],
-        )
+        fields = (feature.astype(np.int64), _threshold(low, high), left, right, value, n_samples)
+        return [Tree(*(field[a:b] for field in fields), n_features=self.Xt.shape[0]) for a, b in zip(starts, ends)]
 
 
 def _runs(searched, d):
     """`searched`, (size, node) pairs by increasing size, in runs that one
     search takes, each node padded to its run's largest. A run takes in
     another node while it pads at most PAD_CELLS cells per node beyond its
-    first."""
+    first and holds at most SEARCH_CELLS cells."""
     j = 0
     while j < len(searched):
         k, rows = j + 1, searched[j][0]
-        while k < len(searched) and searched[k][0] * (k - j + 1) - rows - searched[k][0] <= PAD_CELLS * (k - j) // d:
-            rows += searched[k][0]
+        while k < len(searched) and (n := searched[k][0]) * (k - j + 1) <= min(
+            SEARCH_CELLS // d, rows + n + PAD_CELLS * (k - j) // d
+        ):
+            rows += n
             k += 1
         yield searched[j:k]
         j = k

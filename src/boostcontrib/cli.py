@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from contextlib import contextmanager
 
@@ -386,6 +387,7 @@ _positive_int = _ranged(int, lambda v: v >= 1, "at least 1")
 _seed = _ranged(int, lambda v: v >= 0, "at least 0")
 _rate = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _fraction = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_finite = _ranged(float, math.isfinite, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="feature to copy ('auto' picks the most important one)",
     )
     p.add_argument("--seeds", type=_seed, nargs="+", default=list(DEFAULT_SEEDS))
-    p.add_argument("--factor", type=float, help="fix the copy's factor instead of drawing it")
-    p.add_argument("--offset", type=float, help="fix the copy's offset instead of drawing it")
+    p.add_argument("--factor", type=_finite, help="fix the copy's factor instead of drawing it")
+    p.add_argument("--offset", type=_finite, help="fix the copy's offset instead of drawing it")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment_correlation)
 
@@ -482,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--levels",
-        type=float,
+        type=_finite,
         nargs="+",
         default=list(DEFAULT_NOISE_LEVELS),
         help="noise variances as percent of the feature's variance",

@@ -184,12 +184,17 @@ def add_correlated_feature(
     ds: Dataset, base_feature: str, factor: float, offset: float, new_name: str
 ) -> Dataset:
     """Append a column equal to factor * base + offset per row."""
+    for name, value in (("factor", factor), ("offset", offset)):
+        if not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {value}")
     if factor == 0:
         raise DataError("factor must be nonzero")
     if new_name in ds.feature_names:
         raise DataError(f"feature name {new_name!r} already in use")
-    base = ds.column(base_feature)
-    new_col = factor * base + offset
+    with np.errstate(over="ignore"):
+        new_col = factor * ds.column(base_feature) + offset
+    if not np.isfinite(new_col).all():
+        raise DataError(f"the copy {new_name} = {factor} * {base_feature} + {offset} overflows")
     features = np.column_stack([ds.features, new_col])
     return Dataset(features, ds.target, ds.feature_names + (new_name,))
 
@@ -203,16 +208,19 @@ def add_gaussian_noise(
     Population variance; draws come from numpy's default generator seeded
     with `seed`.
     """
-    if variance_pct < 0:
-        raise DataError(f"variance_pct must be nonnegative, got {variance_pct}")
+    if not 0 <= variance_pct < math.inf:
+        raise DataError(f"variance_pct must be finite and nonnegative, got {variance_pct}")
     idx = ds.feature_index(feature)
-    scale = math.sqrt(variance_pct / 100.0 * float(np.var(ds.features[:, idx])))
-    if scale == 0.0:
-        return Dataset(ds.features, ds.target, ds.feature_names)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, scale, size=ds.n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = math.sqrt(variance_pct / 100.0 * float(np.var(ds.features[:, idx])))
+        if scale == 0.0:
+            return Dataset(ds.features, ds.target, ds.feature_names)
+        rng = np.random.default_rng(seed)
+        noised = ds.features[:, idx] + rng.normal(0.0, scale, size=ds.n_samples)
+    if not np.isfinite(noised).all():
+        raise DataError(f"noise of variance_pct {variance_pct} overflows feature {feature!r}")
     features = ds.features.copy()
-    features[:, idx] = features[:, idx] + noise
+    features[:, idx] = noised
     return Dataset(features, ds.target, ds.feature_names)
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boosting import Ensemble, GbdtParams, feature_importance, fit_gbdt
+from .boosting import Ensemble, GbdtParams, _fit_group, feature_importance, fit_gbdt
 from .cart import CartParams
 from .contrib import _explain_arrays, feature_contributions
 from .data import (
@@ -104,6 +104,11 @@ def _mean_rows(prefix: tuple, names, matrix: np.ndarray) -> list[tuple]:
     ]
 
 
+def _fit_models(trains, seeds, config: ExperimentConfig) -> list[Ensemble]:
+    """fit_gbdt(train, config.gbdt_params(seed)) per train and seed, grown as one group."""
+    return _fit_group(trains, config.gbdt_params(0), seeds) if trains else []
+
+
 def run_correlation_experiment(
     ds: Dataset,
     *,
@@ -140,8 +145,7 @@ def run_correlation_experiment(
     while new_name in ds.feature_names:
         new_name += "_"
 
-    rows: list[tuple] = []
-    runs_meta = []
+    runs_meta, splits = [], []
     for seed in seeds:
         rng = np.random.default_rng([seed, 0])
         factor_draw = float(rng.uniform(0.5, 2.0))
@@ -149,24 +153,34 @@ def run_correlation_experiment(
         f = factor_draw if factor is None else float(factor)
         o = offset_draw if offset is None else float(offset)
         augmented = add_correlated_feature(ds, base, f, o, new_name)
-
         # Same n and seed => identical row permutation, so both variants
         # share train/test rows.
-        train_orig, test_orig = train_test_split(ds, config.test_fraction, seed)
-        train_aug, test_aug = train_test_split(augmented, config.test_fraction, seed)
-        if seed == seeds[0] and first_model is not None:
-            model_orig = first_model
-        else:
-            model_orig = fit_gbdt(train_orig, config.gbdt_params(seed))
-        model_aug = fit_gbdt(train_aug, config.gbdt_params(seed))
+        splits.append(
+            (train_test_split(ds, config.test_fraction, seed), train_test_split(augmented, config.test_fraction, seed))
+        )
+        runs_meta.append({"seed": seed, "factor": f, "offset": o})
+
+    # The original models grow as one group and the augmented ones, which
+    # have a column more, as another.
+    reused = [seed == seeds[0] and first_model is not None for seed in seeds]
+    fitted = iter(_fit_models(
+        [orig[0] for (orig, _), r in zip(splits, reused) if not r], [s for s, r in zip(seeds, reused) if not r], config
+    ))
+    models_orig = [first_model if r else next(fitted) for r in reused]
+    models_aug = _fit_models([aug[0] for _, aug in splits], seeds, config)
+
+    rows: list[tuple] = []
+    for seed, ((_, test_orig), (train_aug, test_aug)), model_orig, model_aug in zip(
+        seeds, splits, models_orig, models_aug
+    ):
         mat_orig = _explain_arrays(model_orig, test_orig)[1]
         mat_aug = _explain_arrays(model_aug, test_aug)[1]
 
         rows.extend(_mean_rows((seed, "original"), ds.feature_names, mat_orig))
-        rows.extend(_mean_rows((seed, "augmented"), augmented.feature_names, mat_aug))
+        rows.extend(_mean_rows((seed, "augmented"), train_aug.feature_names, mat_aug))
         pair = (
-            mat_aug[:, augmented.feature_index(base)]
-            + mat_aug[:, augmented.feature_index(new_name)]
+            mat_aug[:, train_aug.feature_index(base)]
+            + mat_aug[:, train_aug.feature_index(new_name)]
         )
         rows.append(
             (
@@ -177,7 +191,6 @@ def run_correlation_experiment(
                 float(np.abs(pair).mean()),
             )
         )
-        runs_meta.append({"seed": seed, "factor": f, "offset": o})
 
     metadata = {
         "experiment": "correlation",
@@ -222,14 +235,14 @@ def run_noise_experiment(
         ds.feature_index(feature)
     noise_seeds = np.random.default_rng([seed, 0]).integers(2**63, size=len(levels))
 
+    reused = [level == 0.0 and baseline is not None for level in levels]
+    fitted = iter(_fit_models(
+        [add_gaussian_noise(train, feature, lv, int(s)) for lv, s, r in zip(levels, noise_seeds, reused) if not r],
+        [seed] * reused.count(False), config,
+    ))
     rows: list[tuple] = []
-    for level, noise_seed in zip(levels, noise_seeds):
-        if level == 0.0 and baseline is not None:
-            model = baseline
-        else:
-            noised = add_gaussian_noise(train, feature, level, int(noise_seed))
-            model = fit_gbdt(noised, config.gbdt_params(seed))
-        matrix = _explain_arrays(model, test)[1]
+    for level, r in zip(levels, reused):
+        matrix = _explain_arrays(baseline if r else next(fitted), test)[1]
         rows.extend(_mean_rows((seed, level), ds.feature_names, matrix))
 
     metadata = {
@@ -271,17 +284,17 @@ def run_outlier_experiment(
     feat = ds.feature_names[0] if feature is None else feature
     ds.feature_index(feat)
 
+    trains = [train_test_split(ds, config.test_fraction, seed)[0] for seed in seeds]
+    samples = [make_outlier(train, feat) for train in trains]
+    poisoned = [
+        Dataset(np.vstack([train.features, sample.x_fake]), np.append(train.target, sample.y_fake), train.feature_names)
+        for train, sample in zip(trains, samples)
+    ]
+    models = _fit_models(poisoned, seeds, config)
     rows: list[tuple] = []
-    for seed in seeds:
-        train, _ = train_test_split(ds, config.test_fraction, seed)
-        sample = make_outlier(train, feat)
-        poisoned = Dataset(
-            np.vstack([train.features, sample.x_fake]),
-            np.append(train.target, sample.y_fake),
-            train.feature_names,
-        )
-        model = fit_gbdt(poisoned, config.gbdt_params(seed))
-        expl = feature_contributions(model, sample.x_fake)
+    for seed, sample in zip(seeds, samples):
+        # Each model goes once explained, with the kernel arrays it caches.
+        expl = feature_contributions(models.pop(0), sample.x_fake)
         magnitudes = np.array(
             [abs(expl.contributions[name]) for name in ds.feature_names]
         )

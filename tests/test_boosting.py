@@ -527,6 +527,76 @@ class TestStageUpdate:
         self.assert_residuals_match_the_kernel_update(ds, params)
 
 
+def group_data(data_seed, sizes, d, slopes, decimals):
+    """One dataset per entry of `sizes`: rounded features, so candidates tie,
+    targets that are integers when decimals is 0, so tied candidates often
+    split a node's rows differently and hold the node, and a last column
+    that is 2 * slope * (first column) + 1 where the fit's slope is not 0:
+    an increasing copy in some fits, a decreasing one, whose ties swap the
+    children, in others."""
+    rng = np.random.default_rng(data_seed)
+    datasets = []
+    for n, slope in zip(sizes, slopes):
+        X = np.round(rng.normal(size=(n, d)) * 2.0, decimals)
+        if slope:
+            X[:, -1] = 2.0 * slope * X[:, 0] + 1.0
+        y = np.round(X[:, 0] + rng.normal(size=n), decimals)
+        datasets.append(Dataset(X, y, tuple(f"x{j}" for j in range(d))))
+    return datasets
+
+
+class TestGroupFit:
+    """Fits grown in lockstep, as the studies grow them, must save the bytes
+    that each fit grown on its own saves."""
+
+    @staticmethod
+    def assert_equals_separate_fits(group, datasets, params, seeds, tmp_path):
+        assert len(group) == len(datasets)
+        for ds, seed, model in zip(datasets, seeds, group):
+            alone = fit_gbdt(ds, GbdtParams(params.n_estimators, params.learning_rate, params.cart, seed))
+            save_model(model, tmp_path / "group.json")
+            save_model(alone, tmp_path / "alone.json")
+            assert (tmp_path / "group.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+    @given(case_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_group_fit_equals_separate_fits(self, tmp_path_factory, case_seed):
+        # 1-4 fits of 1-40 rows, depth 1-15, non-default stopping rules and
+        # seeds drawn from three, so some fits share theirs.
+        rng = np.random.default_rng(case_seed)
+        k = int(rng.integers(1, 5))
+        cart_params = CartParams(
+            max_depth=int(rng.integers(1, 16)),
+            min_samples_leaf=int(rng.integers(1, 4)),
+            min_samples_split=int(rng.integers(2, 7)),
+            min_gain=float(rng.choice([0.0, 0.01, 0.5])),
+        )
+        params = GbdtParams(int(rng.integers(1, 4)), learning_rate=0.5, cart=cart_params)
+        datasets = group_data(
+            case_seed, rng.integers(1, 41, size=k).tolist(), int(rng.integers(2, 5)),
+            rng.choice([1, -1, 0], size=k).tolist(), int(rng.integers(0, 2)),
+        )
+        seeds = rng.integers(0, 3, size=k).tolist()
+        group = boosting._fit_group(datasets, params, seeds)
+        self.assert_equals_separate_fits(group, datasets, params, seeds, tmp_path_factory.mktemp("models"))
+
+    def test_held_nodes_in_a_group(self, tmp_path):
+        # Integer targets and a copy column in two of four fits, two of
+        # which share a seed: some tied nodes are held until their draw.
+        real, held = cart._Grower._grow_held, []
+
+        def spy(self, record, pick):
+            held.append(record)
+            return real(self, record, pick)
+
+        datasets = group_data(4, [40, 31, 40, 12], 3, [1, 0, 1, 0], 0)
+        params = GbdtParams(n_estimators=4, learning_rate=1.0, cart=CartParams(max_depth=8))
+        with mock.patch.object(cart._Grower, "_grow_held", spy):
+            group = boosting._fit_group(datasets, params, [0, 1, 1, 2])
+        assert held
+        self.assert_equals_separate_fits(group, datasets, params, [0, 1, 1, 2], tmp_path)
+
+
 class TestPinnedModels:
     """Saved model bytes must not change when fitting code is reworked."""
 

@@ -174,6 +174,31 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert f"argument {flag}: must be at least 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("noise", "--levels", "nan"),
+            ("noise", "--levels", "inf"),
+            ("correlation", "--factor", "nan"),
+            ("correlation", "--factor", "inf"),
+            ("correlation", "--offset", "inf"),
+            ("correlation", "--offset", "-inf"),
+        ],
+    )
+    def test_non_finite_study_parameter(self, command, flag, value, data_csv, capsys):
+        # Refused before the study fits anything, not blamed on the data.
+        argv = [*self.COMMANDS[command], "--data", str(data_csv), "--target", "y", f"{flag}={value}"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be finite, got {float(value)}" in capsys.readouterr().err
+
+    def test_overflowing_copy_is_named(self, data_csv, tmp_path, capsys):
+        argv = [*self.COMMANDS["correlation"], "--data", str(data_csv), "--target", "y", "--factor", "1e308", "--offset", "0"]
+        assert cli.main([*argv, "--base-feature", "x0", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: the copy x0_corr = 1e+308 * x0 + 0.0 overflows\n"
+
     def test_negative_probe_seed(self, data_csv, model_json, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([

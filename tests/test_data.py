@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -274,6 +276,36 @@ class TestAugmentations:
     def test_noise_rejects_negative_level(self, synthetic_500x8):
         with pytest.raises(DataError, match="nonnegative"):
             add_gaussian_noise(synthetic_500x8, "x0", -1.0, seed=0)
+
+    @pytest.mark.parametrize("factor, offset, name", [
+        (float("nan"), 0.0, "factor"), (float("inf"), 0.0, "factor"), (-float("inf"), 0.0, "factor"),
+        (1.0, float("nan"), "offset"), (1.0, float("inf"), "offset"),
+    ])
+    def test_correlated_feature_rejects_non_finite_parameter(self, d0_dataset, factor, offset, name):
+        with pytest.raises(DataError, match=f"^{name} must be finite, got"):
+            add_correlated_feature(d0_dataset, "f0", factor, offset, "c")
+
+    def test_correlated_feature_names_an_overflowing_copy(self, synthetic_500x8):
+        # Some |x0| exceed 1.8, so 1e308 * x0 overflows; no numpy warning leaks.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^the copy c = 1e\+308 \* x0 \+ 0.0 overflows$"):
+                add_correlated_feature(synthetic_500x8, "x0", 1e308, 0.0, "c")
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    def test_noise_rejects_non_finite_level(self, synthetic_500x8, level):
+        with pytest.raises(DataError, match="^variance_pct must be finite and nonnegative, got"):
+            add_gaussian_noise(synthetic_500x8, "x0", level, seed=0)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200], ids=["scale-overflows", "variance-overflows"])
+    def test_noise_names_an_overflowing_level(self, scale, synthetic_500x8):
+        # The noise's variance overflows, in the column's variance or in its
+        # product with the level; no numpy warning leaks.
+        ds = Dataset(synthetic_500x8.features * scale, synthetic_500x8.target, synthetic_500x8.feature_names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^noise of variance_pct 1e\+308 overflows feature 'x0'$"):
+                add_gaussian_noise(ds, "x0", 1e308, seed=0)
 
     def test_make_outlier_exact_values(self, d0_dataset):
         sample = make_outlier(d0_dataset, "f0")

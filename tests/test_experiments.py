@@ -1,12 +1,14 @@
 import hashlib
 import csv
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from boostcontrib import (
+    Ensemble,
     add_correlated_feature,
     batch_explain,
     feature_importance,
@@ -14,6 +16,7 @@ from boostcontrib import (
     make_outlier,
     train_test_split,
 )
+from boostcontrib import cart
 from boostcontrib.experiments import (
     ExperimentConfig,
     dataset_fingerprint,
@@ -252,21 +255,87 @@ class TestPinnedReports:
         digest = hashlib.sha256(b"".join(path.read_bytes() for path in paths))
         assert digest.hexdigest() == want
 
+    # Non-default arguments, pinned before the studies grew their fits in
+    # lockstep: the reports must not depend on which fits grow together.
+    NON_DEFAULT = {
+        "correlation-base-x3": lambda ds: run_correlation_experiment(ds, base_feature="x3"),
+        "noise-x1-with-level-0": lambda ds: run_noise_experiment(ds, feature="x1"),
+        "correlation-seeds-0-0": lambda ds: run_correlation_experiment(ds, seeds=(0, 0)),
+        "outlier-seeds-0-0": lambda ds: run_outlier_experiment(ds, seeds=(0, 0)),
+        "correlation-one-seed": lambda ds: run_correlation_experiment(ds, seeds=(4,)),
+        "outlier-one-seed": lambda ds: run_outlier_experiment(ds, seeds=(4,)),
+        "outlier-second-dataset": lambda ds: run_outlier_experiment(build_synthetic(n=180, d=5, seed=11), feature="x2"),
+    }
+
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            ("correlation-base-x3", "81464f62b1fa07da1b8020e576ec42af36763e7ae0d28334663954c035b999ba"),
+            ("noise-x1-with-level-0", "402b22a062cc02967b7389ec669c637ed1b8ce33eb237658d0d2026413017307"),
+            ("correlation-seeds-0-0", "25fdcaeb8a242984bb7e90e363c7ca1e9afe2fc1895663566d81b04605346317"),
+            ("outlier-seeds-0-0", "cf833f6bfba8d1108eb674e2fb05725afe729476654dd3455f7ca767774f4f35"),
+            ("correlation-one-seed", "3fba5d587ce4c8519e751181b5cbce257bfae26a8ea7184851e498141a033b5c"),
+            ("outlier-one-seed", "ba0d5f06b9b1974e27d3a30b809677c69ba78da12e867d74f7ec540ab79c9e78"),
+            ("outlier-second-dataset", "fecafd0778659d36807dcf3f97480cb0fe484c2dc4c7ab8e2f1c785167af2daf"),
+        ],
+    )
+    def test_non_default_report_bytes(self, case, want, tmp_path):
+        paths = write_report(self.NON_DEFAULT[case](build_synthetic(n=250, d=8, seed=3)), tmp_path)
+        digest = hashlib.sha256(b"".join(path.read_bytes() for path in paths))
+        assert digest.hexdigest() == want
+
 
 class TestFitsEachModelOnce:
     """The automatic feature choice fits a model the study needs anyway."""
+
+    @staticmethod
+    def fitted_models(run):
+        """How many models `run()` fits: the fits construct one Ensemble each."""
+        with mock.patch("boostcontrib.boosting.Ensemble", wraps=Ensemble) as ensemble:
+            run()
+        return ensemble.call_count
 
     @pytest.mark.parametrize("base_feature, fits", [(None, 4), ("x1", 4)])
     def test_correlation(self, small, base_feature, fits):
         # Per seed an original and an augmented model; choosing the base
         # feature uses the first seed's original model.
-        with mock.patch("boostcontrib.experiments.fit_gbdt", wraps=fit_gbdt) as fit:
-            run_correlation_experiment(small, base_feature=base_feature, seeds=(0, 1), config=CFG)
-        assert fit.call_count == fits
+        run = lambda: run_correlation_experiment(small, base_feature=base_feature, seeds=(0, 1), config=CFG)
+        assert self.fitted_models(run) == fits
 
     @pytest.mark.parametrize("feature, fits", [(None, 2), ("x1", 2)])
     def test_noise(self, small, feature, fits):
         # Level 0 leaves the data as it is, so it is the baseline model.
-        with mock.patch("boostcontrib.experiments.fit_gbdt", wraps=fit_gbdt) as fit:
-            run_noise_experiment(small, feature=feature, levels=(0.0, 100.0), seed=0, config=CFG)
-        assert fit.call_count == fits
+        run = lambda: run_noise_experiment(small, feature=feature, levels=(0.0, 100.0), seed=0, config=CFG)
+        assert self.fitted_models(run) == fits
+
+
+class TestLockstepMemory:
+    """Growing a study's fits together holds all their models at once, but
+    its searches stay bounded and no model outlives its explanation."""
+
+    def test_outlier_study_peak(self):
+        # Traced peak: 1.57 MB with one fit at a time, 2.16-2.30 MB in
+        # lockstep; 3.0 MB when every explained model kept its kernel
+        # arrays, 4.0 MB without the search bound.
+        ds = build_synthetic(n=250, d=8, seed=3)
+        tracemalloc.start()
+        try:
+            run_outlier_experiment(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6e6
+
+    def test_searches_stay_within_the_cell_bound(self):
+        real, shapes = cart._search, []
+
+        def spy(Xt, y, slab, *rest):
+            shapes.append(slab.shape)
+            return real(Xt, y, slab, *rest)
+
+        with mock.patch.object(cart, "_search", spy):
+            run_outlier_experiment(build_synthetic(n=250, d=8, seed=3))
+            run_correlation_experiment(build_synthetic(n=400, d=30, seed=1), seeds=(0, 1, 2))
+        cells = [d * k * m for d, k, m in shapes if k > 1]
+        assert max(cells) <= cart.SEARCH_CELLS < max(cells) * 2  # the bound binds
+        assert any(d * m > cart.SEARCH_CELLS for d, k, m in shapes if k == 1)  # a lone node may exceed it
