@@ -234,21 +234,15 @@ def fit_cart(
 
 def _presort(Xs):
     """What growing one tree on each X of Xs at once starts from: their rows
-    stacked and transposed, the roots' block (see _Grower), each X's row
-    count and, per column, the first column whose candidates always split a
-    node's rows as its own do in every X, because both order the rows alike
-    and tie the same neighbours (a column and its increasing copy)."""
+    stacked and transposed, the roots' block (see _Grower) and each X's row
+    count."""
     Xts = [np.ascontiguousarray(X.T) for X in Xs]
-    blocks, keys, counts = [], [], [X.shape[0] for X in Xs]
-    for Xt, offset in zip(Xts, accumulate(counts, initial=0)):
-        order = Xt.argsort(axis=1, kind="stable")
-        ties = np.take_along_axis(Xt, order, axis=1)
-        ties = ties[:, 1:] == ties[:, :-1]
-        keys.append([o.tobytes() + t.tobytes() for o, t in zip(order, ties)])
-        blocks.append(np.concatenate([order, np.arange(Xt.shape[1])[None]]) + offset)
-    first = {}
-    same_as = [first.setdefault(key, j) for j, key in enumerate(zip(*keys))]
-    return np.concatenate(Xts, axis=1), np.concatenate(blocks, axis=1), counts, same_as
+    counts = [X.shape[0] for X in Xs]
+    blocks = [
+        np.concatenate([Xt.argsort(axis=1, kind="stable"), np.arange(Xt.shape[1])[None]]) + offset
+        for Xt, offset in zip(Xts, accumulate(counts, initial=0))
+    ]
+    return np.concatenate(Xts, axis=1), np.concatenate(blocks, axis=1), counts
 
 
 def _grow(y, presorted, params: CartParams, rngs) -> tuple[list[Tree], np.ndarray]:
@@ -256,8 +250,8 @@ def _grow(y, presorted, params: CartParams, rngs) -> tuple[list[Tree], np.ndarra
     targets stacked: the tree of each X, drawing from its own rng of rngs.
     Also returns the value of the leaf each stacked row falls in, read off
     the grower's own partition of the rows."""
-    Xt, block, counts, same_as = presorted
-    grower = _Grower(Xt, y, params, same_as)
+    Xt, block, counts = presorted
+    grower = _Grower(Xt, y, params)
     grower.grow(block, counts, 0)
     return grower.walk(rngs), np.array(grower.value).take(grower.leaf)
 
@@ -282,12 +276,13 @@ class _Grower:
     (`_runs`).
 
     The rngs wait for the walk, which visits the roots in turn and draws at
-    each tied node from its root's rng, in the order the recursion would.
-    A tied node whose candidates all split its rows into the same two sets
-    has its children grown with the level; the draw only picks the split
-    and which child is left. A tied node whose candidates split its rows
-    differently is held: it stays a leaf until the walk has drawn its split
-    (`_grow_held`).
+    each tied node, one with more than one candidate, from its root's rng,
+    in the order the recursion would. `_check_ties` compares the row sets
+    of a tied node's candidates. If they all split its rows into the same
+    two sets, as a column and its exact or increasing copy do, the node's
+    children grow with the level; the draw only picks the split and which
+    child is left. If they split its rows differently, the node is held: it
+    stays a leaf until the walk has drawn its split (`_grow_held`).
 
     Nodes are "records" here, numbered as they are grown. Per record, the
     walk reads `n_cand` candidates from `first` on, and the children `left`
@@ -300,11 +295,10 @@ class _Grower:
     trees are grown.
     """
 
-    def __init__(self, Xt, y, params: CartParams, same_as):
+    def __init__(self, Xt, y, params: CartParams):
         self.Xt = Xt
         self.y = y
         self.params = params
-        self.same_as = same_as
         self.side = np.empty(y.size, dtype=np.int8)  # per row: 0 left, 1 right, 2 stays
         self.leaf = np.empty(y.size, dtype=np.intp)
         self.value, self.n_samples, self.n_cand, self.first, self.left, self.right = [], [], [], [], [], []
@@ -357,7 +351,7 @@ class _Grower:
         self.left += [-1] * size
         self.right += [-1] * size
 
-        n_left, f_left, tied, level_i, level_f = {}, {}, [], [], []
+        n_left, f_left, level_i, level_f = {}, {}, [], []
         for run in _runs(searched, d):
             width = run[-1][0]
             if len(run) == 1:
@@ -378,8 +372,6 @@ class _Grower:
                 if not self.n_cand[base + q]:
                     self.first[base + q] = c
                     n_left[q], f_left[q] = i_c + 1, f_c
-                elif i_c + 1 != n_left[q] or self.same_as[f_c] != self.same_as[f_left[q]]:
-                    tied.append(q)  # may split the rows another way
                 self.n_cand[base + q] += 1
             self.n_stored += i.size
         if not n_left:
@@ -390,8 +382,9 @@ class _Grower:
         for q, rows_left in n_left.items():
             side[block[d, starts[q]:starts[q + 1]]] = 1
             side[block[f_left[q], starts[q]:starts[q] + rows_left]] = 0
+        tied = [q for q in n_left if self.n_cand[base + q] > 1]
         if tied:
-            self._check_ties(block, starts, counts, set(tied), n_left, level_i, level_f, c0, base, depth)
+            self._check_ties(block, starts, counts, tied, n_left, level_i, level_f, c0, base, depth)
         split = sorted(n_left)
         for at, q in enumerate(split):
             self.left[base + q] = base + size + at

@@ -184,11 +184,7 @@ def add_correlated_feature(
     ds: Dataset, base_feature: str, factor: float, offset: float, new_name: str
 ) -> Dataset:
     """Append a column equal to factor * base + offset per row."""
-    for name, value in (("factor", factor), ("offset", offset)):
-        if not math.isfinite(value):
-            raise DataError(f"{name} must be finite, got {value}")
-    if factor == 0:
-        raise DataError("factor must be nonzero")
+    _check_affine(factor, offset)
     if new_name in ds.feature_names:
         raise DataError(f"feature name {new_name!r} already in use")
     with np.errstate(over="ignore"):
@@ -197,6 +193,15 @@ def add_correlated_feature(
         raise DataError(f"the copy {new_name} = {factor} * {base_feature} + {offset} overflows")
     features = np.column_stack([ds.features, new_col])
     return Dataset(features, ds.target, ds.feature_names + (new_name,))
+
+
+def _check_affine(factor: float, offset: float) -> None:
+    """Refuse a factor or offset that add_correlated_feature cannot use."""
+    for name, value in (("factor", factor), ("offset", offset)):
+        if not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {value}")
+    if factor == 0:
+        raise DataError("factor must be nonzero")
 
 
 def add_gaussian_noise(
@@ -208,8 +213,7 @@ def add_gaussian_noise(
     Population variance; draws come from numpy's default generator seeded
     with `seed`.
     """
-    if not 0 <= variance_pct < math.inf:
-        raise DataError(f"variance_pct must be finite and nonnegative, got {variance_pct}")
+    _check_noise_level(variance_pct)
     idx = ds.feature_index(feature)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = math.sqrt(variance_pct / 100.0 * float(np.var(ds.features[:, idx])))
@@ -222,6 +226,12 @@ def add_gaussian_noise(
     features = ds.features.copy()
     features[:, idx] = noised
     return Dataset(features, ds.target, ds.feature_names)
+
+
+def _check_noise_level(variance_pct: float) -> None:
+    """Refuse a variance_pct that add_gaussian_noise cannot use."""
+    if not 0 <= variance_pct < math.inf:
+        raise DataError(f"variance_pct must be finite and nonnegative, got {variance_pct}")
 
 
 def make_outlier(ds: Dataset, feature: str) -> OutlierSample:

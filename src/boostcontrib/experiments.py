@@ -31,11 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boosting import Ensemble, GbdtParams, _fit_group, feature_importance, fit_gbdt
+from .boosting import GbdtParams, _fit_group, feature_importance, fit_gbdt
 from .cart import CartParams
 from .contrib import _explain_arrays, feature_contributions
 from .data import (
     Dataset,
+    _check_affine,
+    _check_noise_level,
     add_correlated_feature,
     add_gaussian_noise,
     make_outlier,
@@ -104,11 +106,6 @@ def _mean_rows(prefix: tuple, names, matrix: np.ndarray) -> list[tuple]:
     ]
 
 
-def _fit_models(trains, seeds, config: ExperimentConfig) -> list[Ensemble]:
-    """fit_gbdt(train, config.gbdt_params(seed)) per train and seed, grown as one group."""
-    return _fit_group(trains, config.gbdt_params(0), seeds) if trains else []
-
-
 def run_correlation_experiment(
     ds: Dataset,
     *,
@@ -127,51 +124,46 @@ def run_correlation_experiment(
     additionally gets a ``base+copy`` row holding the per-sample sum of the
     pair's contributions, which is the quantity comparable to the original
     model's base-feature row.
+
+    The original models do not depend on the base feature, so they grow
+    first, as one group; the automatic base is the most important feature
+    of seeds[0]'s. The augmented models, a column wider, grow as another.
+    Explicit arguments are checked before any model is fitted.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    # The automatic base is the most important feature of seeds[0]'s
-    # original model, which the loop then reuses.
-    first_model = None
-    if base_feature is None:
-        train, _ = train_test_split(ds, config.test_fraction, seeds[0])
-        first_model = fit_gbdt(train, config.gbdt_params(seeds[0]))
-        base = ds.feature_names[int(np.argmax(feature_importance(first_model)))]
-    else:
-        base = base_feature
-        ds.feature_index(base)
-    new_name = f"{base}_corr"
-    while new_name in ds.feature_names:
-        new_name += "_"
-
-    runs_meta, splits = [], []
+    if base_feature is not None:
+        ds.feature_index(base_feature)
+    runs_meta = []
     for seed in seeds:
         rng = np.random.default_rng([seed, 0])
         factor_draw = float(rng.uniform(0.5, 2.0))
         offset_draw = float(rng.uniform(-1.0, 1.0))
         f = factor_draw if factor is None else float(factor)
         o = offset_draw if offset is None else float(offset)
-        augmented = add_correlated_feature(ds, base, f, o, new_name)
-        # Same n and seed => identical row permutation, so both variants
-        # share train/test rows.
-        splits.append(
-            (train_test_split(ds, config.test_fraction, seed), train_test_split(augmented, config.test_fraction, seed))
-        )
+        _check_affine(f, o)
         runs_meta.append({"seed": seed, "factor": f, "offset": o})
 
-    # The original models grow as one group and the augmented ones, which
-    # have a column more, as another.
-    reused = [seed == seeds[0] and first_model is not None for seed in seeds]
-    fitted = iter(_fit_models(
-        [orig[0] for (orig, _), r in zip(splits, reused) if not r], [s for s, r in zip(seeds, reused) if not r], config
-    ))
-    models_orig = [first_model if r else next(fitted) for r in reused]
-    models_aug = _fit_models([aug[0] for _, aug in splits], seeds, config)
+    splits_orig = [train_test_split(ds, config.test_fraction, seed) for seed in seeds]
+    models_orig = _fit_group([train for train, _ in splits_orig], config.gbdt_params(0), seeds)
+    base = base_feature
+    if base is None:
+        base = ds.feature_names[int(np.argmax(feature_importance(models_orig[0])))]
+    new_name = f"{base}_corr"
+    while new_name in ds.feature_names:
+        new_name += "_"
+    # Same n and seed => identical row permutation, so both variants share
+    # train/test rows.
+    splits_aug = [
+        train_test_split(add_correlated_feature(ds, base, run["factor"], run["offset"], new_name), config.test_fraction, run["seed"])
+        for run in runs_meta
+    ]
+    models_aug = _fit_group([train for train, _ in splits_aug], config.gbdt_params(0), seeds)
 
     rows: list[tuple] = []
-    for seed, ((_, test_orig), (train_aug, test_aug)), model_orig, model_aug in zip(
-        seeds, splits, models_orig, models_aug
+    for seed, (_, test_orig), (train_aug, test_aug), model_orig, model_aug in zip(
+        seeds, splits_orig, splits_aug, models_orig, models_aug
     ):
         mat_orig = _explain_arrays(model_orig, test_orig)[1]
         mat_aug = _explain_arrays(model_aug, test_aug)[1]
@@ -222,10 +214,13 @@ def run_noise_experiment(
     set and explains the same clean test rows. Level 0 adds no noise and
     consumes no random draws, so its rows reproduce the baseline exactly,
     and it reuses the baseline model when one was fitted to pick the feature.
+    The levels are checked before any model is fitted.
     """
     levels = tuple(float(lv) for lv in levels)
     if not levels:
         raise ValueError("need at least one noise level")
+    for level in levels:
+        _check_noise_level(level)
     train, test = train_test_split(ds, config.test_fraction, seed)
     baseline = None
     if feature is None:
@@ -236,10 +231,8 @@ def run_noise_experiment(
     noise_seeds = np.random.default_rng([seed, 0]).integers(2**63, size=len(levels))
 
     reused = [level == 0.0 and baseline is not None for level in levels]
-    fitted = iter(_fit_models(
-        [add_gaussian_noise(train, feature, lv, int(s)) for lv, s, r in zip(levels, noise_seeds, reused) if not r],
-        [seed] * reused.count(False), config,
-    ))
+    noised = [add_gaussian_noise(train, feature, lv, int(s)) for lv, s, r in zip(levels, noise_seeds, reused) if not r]
+    fitted = iter(_fit_group(noised, config.gbdt_params(seed), [seed] * len(noised)) if noised else [])
     rows: list[tuple] = []
     for level, r in zip(levels, reused):
         matrix = _explain_arrays(baseline if r else next(fitted), test)[1]
@@ -290,7 +283,7 @@ def run_outlier_experiment(
         Dataset(np.vstack([train.features, sample.x_fake]), np.append(train.target, sample.y_fake), train.feature_names)
         for train, sample in zip(trains, samples)
     ]
-    models = _fit_models(poisoned, seeds, config)
+    models = _fit_group(poisoned, config.gbdt_params(0), seeds)
     rows: list[tuple] = []
     for seed, sample in zip(seeds, samples):
         # Each model goes once explained, with the kernel arrays it caches.

@@ -596,6 +596,37 @@ class TestGroupFit:
         assert held
         self.assert_equals_separate_fits(group, datasets, params, [0, 1, 1, 2], tmp_path)
 
+    @pytest.mark.parametrize("k", [1, 3], ids=["one fit", "group"])
+    def test_copy_ties_grow_with_their_level(self, k):
+        # Continuous data whose only tied candidates are a column and its
+        # exact or increasing copy, and the single rows a 2-row node sends
+        # either way: every tie splits its node's rows into the same two
+        # sets, so no node waits for its draw.
+        rng = np.random.default_rng(8)
+        datasets = []
+        for n in (90, 70, 50)[:k]:
+            X = rng.normal(size=(n, 3))
+            X = np.column_stack([X, X[:, 0], 2.0 * X[:, 1] + 1.0])
+            datasets.append(Dataset(X, X[:, 0] - X[:, 1] + rng.normal(size=n), ("a", "b", "c", "a2", "b2")))
+        # A learning rate below 1 keeps the residuals distinct: at 1 every
+        # row alone in its leaf gets residual 0, and rows that tie at 0 tie
+        # candidates that split a node's rows differently.
+        params = GbdtParams(n_estimators=3, learning_rate=0.1, cart=CartParams(max_depth=8))
+        real_check, real_held, tied, held = cart._Grower._check_ties, cart._Grower._grow_held, [], []
+
+        def check_spy(self, block, starts, counts, nodes, *rest):
+            tied.extend(nodes)
+            return real_check(self, block, starts, counts, nodes, *rest)
+
+        def held_spy(self, record, pick):
+            held.append(record)
+            return real_held(self, record, pick)
+
+        with mock.patch.object(cart._Grower, "_check_ties", check_spy), \
+                mock.patch.object(cart._Grower, "_grow_held", held_spy):
+            boosting._fit_group(datasets, params, list(range(k)))
+        assert len(tied) > 100 and not held
+
 
 class TestPinnedModels:
     """Saved model bytes must not change when fitting code is reworked."""

@@ -1,6 +1,7 @@
 import hashlib
 import csv
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -16,7 +17,7 @@ from boostcontrib import (
     make_outlier,
     train_test_split,
 )
-from boostcontrib import cart
+from boostcontrib import DataError, boosting, cart, experiments
 from boostcontrib.experiments import (
     ExperimentConfig,
     dataset_fingerprint,
@@ -297,16 +298,50 @@ class TestFitsEachModelOnce:
 
     @pytest.mark.parametrize("base_feature, fits", [(None, 4), ("x1", 4)])
     def test_correlation(self, small, base_feature, fits):
-        # Per seed an original and an augmented model; choosing the base
-        # feature uses the first seed's original model.
+        # Per seed an original and an augmented model; the automatic base
+        # feature is read off the first seed's original model.
         run = lambda: run_correlation_experiment(small, base_feature=base_feature, seeds=(0, 1), config=CFG)
         assert self.fitted_models(run) == fits
+
+    def test_correlation_grows_two_groups_and_no_lone_fit(self, small):
+        # Every fit, fit_gbdt's too, goes through _fit_group: with the
+        # automatic base, the originals still grow as one group, then the
+        # augmented models as another.
+        real, sizes = boosting._fit_group, []
+
+        def spy(datasets, *rest):
+            sizes.append(len(datasets))
+            return real(datasets, *rest)
+
+        with mock.patch.object(boosting, "_fit_group", spy), mock.patch.object(experiments, "_fit_group", spy):
+            run_correlation_experiment(small, seeds=(0, 1, 2), config=CFG)
+        assert sizes == [3, 3]
 
     @pytest.mark.parametrize("feature, fits", [(None, 2), ("x1", 2)])
     def test_noise(self, small, feature, fits):
         # Level 0 leaves the data as it is, so it is the baseline model.
         run = lambda: run_noise_experiment(small, feature=feature, levels=(0.0, 100.0), seed=0, config=CFG)
         assert self.fitted_models(run) == fits
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"factor": float("nan")}, "factor must be finite, got nan"),
+            ({"factor": 0.0}, "factor must be nonzero"),
+            ({"offset": float("inf")}, "offset must be finite, got inf"),
+            ({"levels": (float("inf"),)}, "variance_pct must be finite and nonnegative, got inf"),
+            ({"levels": (-1.0,)}, "variance_pct must be finite and nonnegative, got -1.0"),
+            ({"levels": (0.0, float("nan"))}, "variance_pct must be finite and nonnegative, got nan"),
+        ],
+        ids=["factor-nan", "factor-zero", "offset-inf", "level-inf", "level-negative", "level-nan-after-0"],
+    )
+    def test_bad_parameter_is_refused_before_any_fit(self, small, kwargs, message):
+        # With the automatic base or feature, which a fit picks.
+        runner = run_noise_experiment if "levels" in kwargs else run_correlation_experiment
+        with mock.patch("boostcontrib.boosting.Ensemble", wraps=Ensemble) as ensemble:
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                runner(small, config=CFG, **kwargs)
+        assert ensemble.call_count == 0
 
 
 class TestLockstepMemory:

@@ -1,7 +1,10 @@
-"""README's CLI quick start, run as a user runs it: the synthetic-data script
-and ``python -m boostcontrib`` in fresh processes."""
+"""README's quick starts, run as a user runs them, in fresh processes: the
+library code block as a script, and every line of the CLI block, with the
+synthetic-data script and ``python -m boostcontrib``. Both blocks are read
+out of README.md, so the test fails when the README stops working."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +22,30 @@ def run(*argv, cwd) -> str:
     return done.stdout
 
 
+def readme_block(heading, lang) -> str:
+    """The first ```lang code block after `heading` in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = text[text.index(heading):]
+    start = text.index(f"```{lang}\n") + len(lang) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_library_quick_start(tmp_path):
+    (tmp_path / "quick_start.py").write_text(readme_block("## Quick start (library)", "python"))
+    assert run("quick_start.py", cwd=tmp_path)
+
+
 def test_cli_quick_start(tmp_path):
-    run(ROOT / "scripts" / "make_synthetic.py", "--rows", "200", "--features", "8", "--seed", "0",
-        "--out", "syn.csv", cwd=tmp_path)
-    data = ["--data", "syn.csv", "--target", "y"]
-    run("-m", "boostcontrib", "train", *data, "--n-estimators", "50", "--max-depth", "3",
-        "--model-out", "model.json", cwd=tmp_path)
-    run("-m", "boostcontrib", "explain", *data, "--model", "model.json", "--out", "explained.csv",
-        "--check", cwd=tmp_path)
-    assert "all checks passed" in run("-m", "boostcontrib", "verify", *data, "--model", "model.json",
-                                      cwd=tmp_path)
+    # Each command with its files under the working directory instead of /tmp.
+    lines = readme_block("## Quick start (CLI)", "sh").replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line.replace("/tmp/", "")) for line in lines if line and not line.startswith("#")]
+    outputs = []
+    for program, *args in commands:
+        argv = [ROOT / args[0], *args[1:]] if program == "python3" else ["-m", "boostcontrib", *args]
+        outputs.append(run(*argv, cwd=tmp_path))
+    assert [command[:2] for command in commands] == [
+        ["python3", "scripts/make_synthetic.py"], ["boostcontrib", "train"], ["boostcontrib", "explain"],
+        ["boostcontrib", "verify"], ["boostcontrib", "experiment"],
+    ]
+    assert "all checks passed" in outputs[3]
+    assert (tmp_path / "corr" / "correlation.csv").is_file()
