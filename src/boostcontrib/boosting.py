@@ -321,9 +321,10 @@ def load_model(path) -> Ensemble:
     _require(isinstance(payload, dict), "top level must be an object")
     for key in ("format_version", "f0", "learning_rate", "feature_names", "trees"):
         _require(key in payload, f"missing top-level key {key!r}")
-    if payload["format_version"] != MODEL_FORMAT_VERSION:
+    version = payload["format_version"]
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not True, 1.0 or "1"
         raise ModelFormatError(
-            f"unknown format version {payload['format_version']!r}; "
+            f"unknown format version {version!r}; "
             f"expected {MODEL_FORMAT_VERSION}"
         )
     names = payload["feature_names"]

@@ -14,6 +14,7 @@ import io
 import math
 import sys
 from contextlib import contextmanager
+from itertools import repeat
 
 import numpy as np
 
@@ -28,17 +29,15 @@ from .boosting import (
     save_model,
 )
 from .cart import CartParams
-from .contrib import _decision_bounds, _explain_arrays
+from .contrib import _decision_bounds, _edges_per_row, _explain_arrays
 from .data import DataError, Dataset, load_csv, train_test_split
 from .experiments import (
     DEFAULT_NOISE_LEVELS,
     DEFAULT_SEEDS,
     ExperimentConfig,
-    format_cell,
     run_correlation_experiment,
     run_noise_experiment,
     run_outlier_experiment,
-    write_csv,
     write_report,
 )
 from .oracle import (
@@ -75,25 +74,30 @@ def _output(path):
             yield fh
 
 
-def _write_csv(path, header, rows) -> None:
-    with _output(path) as fh:
-        write_csv(fh, header, rows)
-
-
-def _write_lines(fh, first: int, tails_per_row) -> None:
-    """For row i = first, first + 1, ..., one line "i," + tail per tail of
-    the row; each tail ends its line."""
-    for i, tails in enumerate(tails_per_row, first):
-        if tails:
-            prefix = f"{i},"
-            fh.write(prefix + prefix.join(tails))
-
-
 def _quoted(name: str) -> str:
-    """name as the csv module writes it in a cell."""
+    """name as write_csv's writer puts it among other cells: quoted if it holds
+    a comma, quote or line break; empty if empty (alone it would be "")."""
     text = io.StringIO()
-    csv.writer(text, lineterminator="").writerow([name])
-    return text.getvalue()
+    csv.writer(text, lineterminator="\n").writerow([name, ""])
+    return text.getvalue()[: -len(",\n")]
+
+
+def _write_table(path, header, columns) -> None:
+    """A header line, then one line per row of the equal-length columns: a
+    numeric array's cells via repr (str for an integer, the shortest exact
+    text for a float), read one at a time through a memoryview so no column
+    becomes a list, and a list of names each quoted once as csv quotes it."""
+    parts = []  # each column's cells, then the separator after them
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            parts += [map(repr, memoryview(column)), repeat(",")]
+        else:
+            quoted = {name: _quoted(name) for name in set(column)}
+            parts += [map(quoted.__getitem__, column), repeat(",")]
+    parts[-1] = repeat("\n")
+    with _output(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(map("".join, zip(*parts)))
 
 
 def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
@@ -103,19 +107,17 @@ def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
     flat = model.flat
     names = list(map(_quoted, model.feature_names))
     child = np.flatnonzero(flat.parent != np.arange(flat.parent.size))  # roots end no edge
-    tree, step = flat.tree[child].tolist(), (flat.node_depth[child] - 1).tolist()
     tails = np.empty(flat.parent.size, dtype=object)
     tails[child] = [
-        f"{t},{s},{names[f]},{th!r},{'left' if went_left else 'right'},{r!r},{sr!r}\n"
-        for t, s, f, th, went_left, r, sr in zip(tree, step, *flat.edge_fields(child))
+        f"{t},{s},{names[f]},{th!r},{direction},{r!r},{sr!r}\n"
+        for t, s, f, th, direction, r, sr in zip(*flat.edge_fields(child))
     ]
     with _output(path) as fh:
-        write_csv(fh, RECORD_HEADER, ())
-        for rows, ids in flat.paths(X):
-            row, _tree, _step, _parent, child = flat.edges(ids)
-            edges = tails[child].tolist()
-            ends = np.cumsum(np.bincount(row, minlength=ids.shape[2])).tolist()
-            _write_lines(fh, rows.start, (edges[a:b] for a, b in zip([0, *ends], ends)))
+        csv.writer(fh, lineterminator="\n").writerow(RECORD_HEADER)
+        for i, edges in enumerate(_edges_per_row(model, X, lambda child: tails[child].tolist())):
+            if edges:
+                prefix = f"{i},"
+                fh.write(prefix + prefix.join(edges))
 
 
 def _additivity_violation(bias: float, contributions, predictions) -> str | None:
@@ -166,9 +168,9 @@ def cmd_train(args) -> int:
     else:
         train, test = train_test_split(ds, args.test_fraction, args.seed)
     model = fit_gbdt(train, params)
-    print(f"train_mse={format_cell(_mse(predict_batch(model, train.features), train.target))}")
+    print(f"train_mse={_mse(predict_batch(model, train.features), train.target)!r}")
     if test is not None:
-        print(f"test_mse={format_cell(_mse(predict_batch(model, test.features), test.target))}")
+        print(f"test_mse={_mse(predict_batch(model, test.features), test.target)!r}")
     save_model(model, args.model_out)
     print(f"model written to {args.model_out}")
     return 0
@@ -179,11 +181,7 @@ def cmd_predict(args) -> int:
     ds = load_csv(args.data, args.target)
     X = _select_features(ds, model)
     preds = predict_batch(model, X)
-    _write_csv(
-        args.out,
-        ["sample_index", "prediction"],
-        ([i, float(p)] for i, p in enumerate(preds)),
-    )
+    _write_table(args.out, ["sample_index", "prediction"], [np.arange(preds.size), preds])
     return 0
 
 
@@ -192,22 +190,21 @@ def cmd_explain(args) -> int:
     ds = load_csv(args.data, args.target)
     X = _select_features(ds, model)
     bias, contributions, predictions = _explain_arrays(model, X)
-    # Floats go through repr, as format_cell writes every float, ±inf included.
-    table = np.column_stack([np.full(predictions.shape, bias), contributions, predictions])
-    with _output(args.out) as fh:
-        write_csv(fh, ["sample_index", "bias", *model.feature_names, "prediction"], ())
-        fh.writelines(f"{i},{','.join(map(repr, row))}\n" for i, row in enumerate(table.tolist()))
+    n, d = contributions.shape
+    _write_table(
+        args.out,
+        ["sample_index", "bias", *model.feature_names, "prediction"],
+        [np.arange(n), np.full(n, bias), *contributions.T, predictions],
+    )
     if args.decision_records:
         _write_decision_records(args.decision_records, model, X)
     if args.decision_space:
         lower, upper = _decision_bounds(model, X)
-        names = list(map(_quoted, model.feature_names))
-        with _output(args.decision_space) as fh:
-            write_csv(fh, ["sample_index", "feature", "lower", "upper"], ())
-            _write_lines(fh, 0, (
-                [f"{name},{lo!r},{hi!r}\n" for name, lo, hi in zip(names, los, his)]
-                for los, his in zip(lower.tolist(), upper.tolist())
-            ))
+        _write_table(
+            args.decision_space,
+            ["sample_index", "feature", "lower", "upper"],
+            [np.arange(n).repeat(d), model.feature_names * n, lower.ravel(), upper.ravel()],
+        )
 
     if args.check:
         violation = _additivity_violation(bias, contributions, predictions)
@@ -220,12 +217,7 @@ def cmd_explain(args) -> int:
 
 def cmd_importance(args) -> int:
     model = load_model(args.model)
-    imp = feature_importance(model)
-    _write_csv(
-        args.out,
-        ["feature", "importance"],
-        ([n, float(v)] for n, v in zip(model.feature_names, imp)),
-    )
+    _write_table(args.out, ["feature", "importance"], [model.feature_names, feature_importance(model)])
     return 0
 
 

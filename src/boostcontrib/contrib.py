@@ -112,21 +112,24 @@ def feature_contributions(ens: Ensemble, x) -> Explanation:
     return batch_explain(ens, _check_vector(ens, x)[None])[0]
 
 
+def _edges_per_row(ens: Ensemble, X: np.ndarray, items) -> Iterator[list]:
+    """Per row of X, the items of its edges in tree, then step order, sliced
+    from items(child): a list of one item per edge of a block of rows."""
+    for _rows, ids in ens.flat.paths(X):
+        row, child = ens.flat.edges(ids)
+        block = items(child)
+        ends = np.cumsum(np.bincount(row, minlength=ids.shape[2])).tolist()
+        for start, end in zip([0, *ends], ends):
+            yield block[start:end]
+
+
 def iter_decision_contributions(ens: Ensemble, data) -> Iterator[list[DecisionRecord]]:
     """decision_contributions for every row, yielded one row at a time."""
-    flat = ens.flat
-    for _rows, ids in flat.paths(_features(ens, data)):
-        row, tree, step, _parent, child = flat.edges(ids)
-        records = [
-            DecisionRecord(t, s, feature, threshold, "left" if went_left else "right", r, sr)
-            for t, s, (feature, threshold, went_left, r, sr) in zip(
-                tree.tolist(), step.tolist(), zip(*flat.edge_fields(child))
-            )
-        ]
-        start = 0
-        for end in np.cumsum(np.bincount(row, minlength=ids.shape[2])).tolist():
-            yield records[start:end]
-            start = end
+
+    def records(child):
+        return list(map(DecisionRecord, *ens.flat.edge_fields(child)))
+
+    yield from _edges_per_row(ens, _features(ens, data), records)
 
 
 def decision_contributions(ens: Ensemble, x) -> list[DecisionRecord]:
@@ -143,7 +146,8 @@ def _decision_bounds(ens: Ensemble, data) -> tuple[np.ndarray, np.ndarray]:
     lower = np.full(X.shape, -np.inf)
     upper = np.full(X.shape, np.inf)
     for rows, ids in flat.paths(X):
-        row, _tree, _step, parent, child = flat.edges(ids)
+        row, child = flat.edges(ids)
+        parent = flat.parent[child]
         bins = flat.feature[parent] + (row + rows.start) * d
         went_left = child == flat.left[parent]
         np.minimum.at(upper.reshape(-1), bins[went_left], flat.threshold[parent[went_left]])

@@ -95,30 +95,32 @@ class FlatForest:
             yield rows, ids
 
     @staticmethod
-    def edges(ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    def edges(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The traversed edges of one block of paths from :meth:`paths`.
 
-        Returns arrays (row, tree, step, parent, child), one entry per edge,
-        ordered by row, then tree, then step; rows count from the block's
-        first row. A step whose node equals the previous one is a row
-        resting at its leaf, not an edge.
+        Returns arrays (row, child), one entry per edge, ordered by row, then
+        tree, then step; rows count from the block's first row, and an edge is
+        named by its child node. A step whose node equals the previous one is
+        a row resting at its leaf, not an edge.
         """
         parent, child = ids[:, :-1], ids[:, 1:]
         row, tree, step = np.nonzero((parent != child).transpose(2, 0, 1))
-        return row, tree, step, parent[tree, step, row], child[tree, step, row]
+        return row, child[tree, step, row]
 
     def edge_fields(self, child: np.ndarray) -> tuple[list, ...]:
-        """What a decision record says of the edges into the nodes `child`.
-
-        Returns lists (feature, threshold, went_left, residue,
-        scaled_residue): the parent's split, whether the child is its left
-        one, value[child] - value[parent] and the scaled residue.
+        """The fields of :class:`~boostcontrib.contrib.DecisionRecord` for the
+        edges into the nodes `child`, as lists: tree, step on the path, the
+        parent's feature and threshold, "left" or "right", value[child] -
+        value[parent] and the scaled residue.
         """
         parent = self.parent[child]
+        went_left = (self.left[parent] == child).astype(np.intp)
         return (
+            self.tree[child].tolist(),
+            (self.node_depth[child] - 1).tolist(),
             self.feature[parent].tolist(),
             self.threshold[parent].tolist(),
-            (self.left[parent] == child).tolist(),
+            np.array(["right", "left"], dtype=object)[went_left].tolist(),  # two shared str objects
             (self.value[child] - self.value[parent]).tolist(),
             self.residue[child].tolist(),
         )

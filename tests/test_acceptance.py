@@ -16,6 +16,7 @@ import pytest
 from boostcontrib import (
     CartParams,
     Dataset,
+    Ensemble,
     GbdtParams,
     add_correlated_feature,
     batch_explain,
@@ -25,6 +26,7 @@ from boostcontrib import (
     fit_gbdt,
     gbdt_predict,
     load_model,
+    predict_batch,
     save_model,
     train_test_split,
     tree_predict,
@@ -297,7 +299,8 @@ def test_criterion_09_training_mse_non_increasing(sweep):
         running = np.full(run.ds.n_samples, run.ens.f0)
         last = float(np.mean((y - running) ** 2))
         for tree in run.ens.trees:
-            stage = np.array([tree_predict(tree, x) for x in X])
+            # Each row's leaf value as 0.0 + 1.0 * leaf, all rows in one call.
+            stage = predict_batch(Ensemble(0.0, 1.0, [tree], run.ens.feature_names), X)
             running = running + run.ens.learning_rate * stage
             mse = float(np.mean((y - running) ** 2))
             assert mse <= last + 1e-9 * max(1.0, last), (

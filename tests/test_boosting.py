@@ -341,6 +341,17 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="unknown format version 99"):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_load_accepts_only_the_integer_version(self, d0_one_tree, tmp_path, version):
+        path = tmp_path / "m.json"
+        save_model(d0_one_tree, path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"unknown format version {version!r}; expected 1"
+
     def test_load_rejects_missing_key(self, d0_one_tree, tmp_path):
         path = tmp_path / "m.json"
         save_model(d0_one_tree, path)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -43,6 +44,37 @@ def model_json(tmp_path_factory, data_csv):
     ])
     assert code == 0
     return path
+
+
+# Feature names the csv module must quote: a comma, a quote, a line break.
+QUOTED_NAMES = ["a,b", 'q"t', "line\nbreak"]
+
+
+@pytest.fixture(scope="module")
+def quoted_files(tmp_path_factory):
+    """A CSV whose feature names need quoting, and a model trained on it."""
+    ds = build_synthetic(n=80, d=3, seed=5)
+    folder = tmp_path_factory.mktemp("quoted")
+    data, model = folder / "data.csv", folder / "model.json"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*QUOTED_NAMES, "y"])
+        for x, y in zip(ds.features, ds.target):
+            writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
+    assert cli.main([
+        "train", "--data", str(data), "--target", "y", "--no-split",
+        "--n-estimators", "4", "--max-depth", "3", "--model-out", str(model),
+    ]) == 0
+    return data, model
+
+
+def csv_bytes(header, rows) -> bytes:
+    """The csv module's text for a header and rows of ready-made cells."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
 
 
 def read_csv(path):
@@ -224,6 +256,17 @@ class TestPredict:
         got = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(got, expected)
 
+    def test_bytes_are_the_csv_modules_with_repr_floats(self, quoted_files, tmp_path):
+        data, model = quoted_files
+        out = tmp_path / "preds.csv"
+        assert cli.main([
+            "predict", "--model", str(model), "--data", str(data), "--target", "y", "--out", str(out),
+        ]) == 0
+        preds = predict_batch(load_model(model), load_csv(data, "y").features)
+        assert out.read_bytes() == csv_bytes(
+            ["sample_index", "prediction"], ([i, repr(p)] for i, p in enumerate(preds.tolist()))
+        )
+
     def test_stdout_mode(self, data_csv, model_json, capsys):
         assert cli.main([
             "predict", "--model", str(model_json), "--data", str(data_csv), "--target", "y",
@@ -279,6 +322,21 @@ class TestExplain:
         assert rows[0] == ["sample_index", "feature", "lower", "upper"]
         for _, _, lower, upper in rows[1:]:
             assert float(lower) < float(upper)
+
+    def test_names_with_line_breaks_stay_in_their_cell(self, quoted_files, tmp_path):
+        data, model_path = quoted_files
+        records, space = tmp_path / "records.csv", tmp_path / "space.csv"
+        assert cli.main([
+            "explain", "--model", str(model_path), "--data", str(data), "--target", "y",
+            "--out", str(tmp_path / "e.csv"),
+            "--decision-records", str(records), "--decision-space", str(space),
+        ]) == 0
+        model = load_model(model_path)
+        X = load_csv(data, "y").features
+        assert [row[3] for row in read_csv(records)[1:]] == [
+            QUOTED_NAMES[r.feature] for x in X for r in decision_contributions(model, x)
+        ]
+        assert [row[1] for row in read_csv(space)[1:]] == QUOTED_NAMES * len(X)
 
     def test_output_bytes_are_pinned(self, tmp_path):
         # Feature names that need CSV quoting; pins recorded before the
@@ -358,6 +416,15 @@ class TestImportance:
         assert [r[0] for r in rows[1:]] == list(model.feature_names)
         assert [float(r[1]) for r in rows[1:]] == expected.tolist()
 
+    def test_bytes_are_the_csv_modules_with_repr_floats(self, quoted_files, tmp_path):
+        _data, model = quoted_files
+        out = tmp_path / "imp.csv"
+        assert cli.main(["importance", "--model", str(model), "--out", str(out)]) == 0
+        importance = feature_importance(load_model(model)).tolist()
+        assert out.read_bytes() == csv_bytes(
+            ["feature", "importance"], ([n, repr(v)] for n, v in zip(QUOTED_NAMES, importance))
+        )
+
     def test_cyclic_model_file_is_rejected(self, model_json, data_csv, tmp_path, capsys):
         payload = json.loads(model_json.read_text())
         payload["trees"][0]["nodes"][0]["left"] = payload["trees"][0]["root"]
@@ -394,6 +461,18 @@ class TestImportance:
         code = cli.main(["verify", "--model", str(bad), "--data", str(data_csv), "--target", "y"])
         assert code == 3
         assert "is not the sum of its children's" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"', "2"])
+    def test_format_version_other_than_integer_1_is_refused(
+        self, model_json, data_csv, tmp_path, capsys, version
+    ):
+        payload = model_json.read_text().replace('"format_version": 1,', f'"format_version": {version},')
+        assert payload != model_json.read_text()
+        bad = tmp_path / "version.json"
+        bad.write_text(payload)
+        code = cli.main(["predict", "--model", str(bad), "--data", str(data_csv), "--target", "y"])
+        assert code == 3
+        assert "unknown format version" in capsys.readouterr().err
 
     def test_corrupt_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
