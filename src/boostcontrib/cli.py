@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
-from contextlib import contextmanager
-from itertools import repeat
 
 import numpy as np
 
@@ -30,7 +27,7 @@ from .boosting import (
 )
 from .cart import CartParams
 from .contrib import _decision_bounds, _edges_per_row, _explain_arrays
-from .data import DataError, Dataset, load_csv, train_test_split
+from .data import DataError, Dataset, _output, _quoted, _write_table, load_csv, train_test_split
 from .experiments import (
     DEFAULT_NOISE_LEVELS,
     DEFAULT_SEEDS,
@@ -64,42 +61,6 @@ RECORD_HEADER = [
 ]
 
 
-@contextmanager
-def _output(path):
-    """The text file to write at path, or stdout when path is None."""
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-
-
-def _quoted(name: str) -> str:
-    """name as write_csv's writer puts it among other cells: quoted if it holds
-    a comma, quote or line break; empty if empty (alone it would be "")."""
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerow([name, ""])
-    return text.getvalue()[: -len(",\n")]
-
-
-def _write_table(path, header, columns) -> None:
-    """A header line, then one line per row of the equal-length columns: a
-    numeric array's cells via repr (str for an integer, the shortest exact
-    text for a float), read one at a time through a memoryview so no column
-    becomes a list, and a list of names each quoted once as csv quotes it."""
-    parts = []  # each column's cells, then the separator after them
-    for column in columns:
-        if isinstance(column, np.ndarray):
-            parts += [map(repr, memoryview(column)), repeat(",")]
-        else:
-            quoted = {name: _quoted(name) for name in set(column)}
-            parts += [map(quoted.__getitem__, column), repeat(",")]
-    parts[-1] = repeat("\n")
-    with _output(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(map("".join, zip(*parts)))
-
-
 def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
     """One line per traversed edge, in sample, tree, step order. What follows
     the sample index depends only on the edge's child node, so it is
@@ -122,14 +83,15 @@ def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
 
 def _additivity_violation(bias: float, contributions, predictions) -> str | None:
     """The first sample whose bias + contributions misses its prediction by
-    more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|), or None.
-    Each row is added up feature by feature from 0.0, then added to bias."""
+    more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|), or by NaN,
+    or None. Each row is added up feature by feature from 0.0, then added to
+    bias."""
     total = np.zeros(predictions.shape)
     for column in contributions.T:
         total += column
     total = bias + total
     scale = np.maximum(1.0, np.abs(predictions))
-    off = np.abs(predictions - total) > RELATIVE_IDENTITY_TOLERANCE * scale
+    off = ~(np.abs(predictions - total) <= RELATIVE_IDENTITY_TOLERANCE * scale)
     if not off.any():
         return None
     i = int(np.argmax(off))
@@ -223,7 +185,8 @@ def cmd_importance(args) -> int:
 
 def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
     """The first sample, then tree, whose root value plus the differences
-    along its path misses its leaf value by more than 1e-12 relative."""
+    along its path misses its leaf value by more than 1e-12 relative, or by
+    NaN."""
     for rows, ids in model.flat.paths(X):
         values = model.flat.value.take(ids)
         root, leaf = values[:, 0], values[:, -1]
@@ -231,18 +194,19 @@ def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
         for step in range(1, values.shape[1]):
             walked += values[:, step] - values[:, step - 1]  # 0.0 once the row is at its leaf
         scale = np.maximum(1.0, np.maximum(np.abs(root), np.abs(leaf)))
-        failed = np.argwhere((np.abs(walked - leaf) > 1e-12 * scale).T)
+        failed = np.argwhere(~(np.abs(walked - leaf) <= 1e-12 * scale).T)
         if failed.size:
             return f"sample {rows.start + failed[0, 0]}, tree {failed[0, 1]}"
     return None
 
 
 def _node_mean_violation(model: Ensemble) -> str | None:
-    """The first internal node whose value is not its children's weighted mean."""
+    """The first internal node whose value is not its children's weighted
+    mean, within 1e-9 relative, or whose residual is NaN."""
     for t, tree in enumerate(model.trees):
         n, v, left, right = tree.n_samples, tree.value, tree.left, tree.right
         merged = (n[left] * v[left] + n[right] * v[right]) / n
-        off = np.abs(merged - v) > 1e-9 * np.maximum(1.0, np.abs(v))
+        off = ~(np.abs(merged - v) <= 1e-9 * np.maximum(1.0, np.abs(v)))
         node_ids = np.flatnonzero(off & ~tree.is_leaf)
         if node_ids.size:
             i = node_ids[0]

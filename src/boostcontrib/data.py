@@ -1,4 +1,4 @@
-"""Tabular dataset container, CSV ingestion, and synthetic transforms.
+"""Tabular dataset container, CSV reading and writing, and synthetic transforms.
 
 All variance/standard-deviation computations in this module use the
 population convention (divide by n), so seeded transforms are reproducible
@@ -8,8 +8,12 @@ from the documented formulas alone.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -157,6 +161,44 @@ def load_csv(path, target_column: str) -> Dataset:
         return Dataset(features, target, names)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _output(path):
+    """The text file to write at path, or stdout when path is None."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+
+
+def _quoted(name: str) -> str:
+    """name as a csv writer puts it among other cells: quoted if it holds a
+    comma, quote or line break; empty if empty (alone it would be "")."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow([name, ""])
+    return text.getvalue()[: -len(",\n")]
+
+
+def _write_table(path, header, columns) -> None:
+    """A header line, then one line per row of the equal-length columns: a
+    numeric array's cells via repr (str for an integer, the shortest exact
+    text for a float), read one at a time through a memoryview so no column
+    becomes a list, and a list of names each quoted once as csv quotes it."""
+    parts = []  # each column's cells, then the separator after them
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            parts += [map(repr, memoryview(column)), repeat(",")]
+        else:
+            quoted = {name: _quoted(name) for name in set(column)}
+            if len(columns) == 1 and "" in quoted:
+                quoted[""] = '""'  # alone on its line, as csv writes it, or it reads as no row
+            parts += [map(quoted.__getitem__, column), repeat(",")]
+    parts[-1] = repeat("\n")
+    with _output(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(map("".join, zip(*parts)))
 
 
 def train_test_split(

@@ -23,7 +23,6 @@ feature's factor/offset and the per-level noise seeds come from there.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -38,6 +37,7 @@ from .data import (
     Dataset,
     _check_affine,
     _check_noise_level,
+    _write_table,
     add_correlated_feature,
     add_gaussian_noise,
     make_outlier,
@@ -327,35 +327,24 @@ def run_outlier_experiment(
     )
 
 
-def format_cell(value) -> str:
-    """Canonical CSV cell text: repr for floats (shortest exact form)."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError("booleans have no CSV representation here")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(fh, header, rows) -> None:
-    """Write a header line, then one line per row with cells via format_cell."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([format_cell(v) for v in row] for row in rows)
-
-
 def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     """Write <name>.csv and <name>_metadata.json; returns both paths.
 
     Output bytes are a pure function of the report: fixed row order,
-    ``\\n`` line endings, floats via ``repr``, JSON keys sorted.
+    ``\\n`` line endings, JSON keys sorted. A column of floats, Python or
+    numpy, is written as float64 via ``repr``; any other column via ``str``,
+    quoted as csv quotes it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{report.name}.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        write_csv(fh, report.columns, report.rows)
+    columns = list(zip(*report.rows)) or [()] * len(report.columns)  # no rows: the header alone
+    _write_table(csv_path, report.columns, [
+        np.array(column, dtype=np.float64)
+        if all(isinstance(v, (float, np.floating)) for v in column)
+        else list(map(str, column))
+        for column in columns
+    ])
     meta_path = out / f"{report.name}_metadata.json"
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(report.metadata, fh, indent=2, sort_keys=True)

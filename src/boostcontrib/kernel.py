@@ -16,7 +16,7 @@ Summation order is part of the contract (see :mod:`boostcontrib.contrib`):
 both sums are taken with ``np.bincount``, which adds its weights into each
 bin in input order. Weights are laid out tree, then step, then row, and
 each bin belongs to one row, so every row is summed tree-major,
-path-minor, exactly as the recursive descent in :mod:`boostcontrib.oracle`
+path-minor, exactly as the descent in :mod:`boostcontrib.oracle`
 sums it, and the two agree bit for bit. A leaf routes to itself; the
 padded steps after a row reaches its leaf weigh +0.0, which leaves a sum
 that started at +0.0 unchanged.

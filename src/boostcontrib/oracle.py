@@ -2,12 +2,12 @@
 
 Nothing here calls the traversal code in :mod:`boostcontrib.cart`,
 :mod:`boostcontrib.kernel` or :mod:`boostcontrib.contrib`; each tree's
-arrays are walked by direct recursive descent so the implementations can
-be compared against each other; only cart's row check is shared. Summation
-order (tree-major, path-minor) deliberately matches the contribution module,
-making equality exact instead of tolerance-based. Leaf regions are (lower,
-upper) arrays, one row per leaf. The module favors obvious correctness over
-speed.
+arrays are walked by direct descent, preorder with an explicit stack, so the
+implementations can be compared against each other; only cart's row check
+is shared. Summation order (tree-major, path-minor) deliberately matches the
+contribution module, making equality exact instead of tolerance-based. Leaf
+regions are (lower, upper) arrays, one row per leaf. The module favors
+obvious correctness over speed.
 """
 
 from __future__ import annotations
@@ -23,36 +23,35 @@ CHUNK_CELLS = 1 << 20
 
 
 def naive_contributions(ens: Ensemble, x) -> tuple[float, np.ndarray]:
-    """Recompute (bias, per-feature contributions) of one row by recursive
-    descent, as a batch of one."""
+    """Recompute (bias, per-feature contributions) of one row by descent, as
+    a batch of one."""
     bias, contributions = naive_contributions_batch(ens, _check_vector(ens, x)[None])
     return bias, contributions[0]
 
 
 def naive_contributions_batch(ens: Ensemble, X) -> tuple[float, np.ndarray]:
     """Recompute the bias and the (n, n_features) contributions of the rows
-    of X by recursive descent, carrying the set of rows that reach each node.
-    Every row gets its adds tree by tree and, within a tree, edge by edge
-    from the root: tree-major, path-minor."""
+    of X by descent from each root, carrying the set of rows that reach each
+    node. Every row gets its adds tree by tree and, within a tree, edge by
+    edge from the root: tree-major, path-minor."""
     X = _check_matrix(ens, X)
     contributions = np.zeros(X.shape, dtype=np.float64)
-
-    def descend(tree: Tree, node: int, rows: np.ndarray) -> None:
-        if tree.left[node] == node or rows.size == 0:
-            return
-        feature = tree.feature[node]
-        go_left = X[rows, feature] <= tree.threshold[node]
-        children = ((tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left]))
-        for child, child_rows in children:
-            contributions[child_rows, feature] += ens.learning_rate * (
-                tree.value[child] - tree.value[node]
-            )
-            descend(tree, child, child_rows)
-
     bias = ens.f0
     for tree in ens.trees:
         bias += ens.learning_rate * tree.value[tree.root].item()
-        descend(tree, tree.root, np.arange(X.shape[0]))
+        stack = [(tree.root, np.arange(X.shape[0]))]  # an explicit stack: depth is unbounded
+        while stack:
+            node, rows = stack.pop()
+            if tree.left[node] == node or rows.size == 0:
+                continue
+            feature = tree.feature[node]
+            go_left = X[rows, feature] <= tree.threshold[node]
+            children = ((tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left]))
+            for child, child_rows in children:
+                contributions[child_rows, feature] += ens.learning_rate * (
+                    tree.value[child] - tree.value[node]
+                )
+            stack += reversed(children)  # left is visited first
     return bias, contributions
 
 
@@ -61,23 +60,22 @@ def enumerate_leaf_regions(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarr
     of shapes (r, d), (r, d) and (r,): region i holds the points x with
     lower[i] < x <= upper[i], the splits intersected root to leaf i."""
     lowers, uppers, leaves = [], [], []
-
     # Bounds are copied before each write, so a child may share its parent's.
-    def descend(node: int, lower: np.ndarray, upper: np.ndarray) -> None:
+    stack = [(tree.root, np.full(tree.n_features, -np.inf), np.full(tree.n_features, np.inf))]
+    while stack:
+        node, lower, upper = stack.pop()
         if tree.left[node] == node:
             lowers.append(lower)
             uppers.append(upper)
             leaves.append(node)
-            return
+            continue
         feat, th = tree.feature[node], tree.threshold[node]
         left_upper = upper.copy()
         left_upper[feat] = min(left_upper[feat], th)
-        descend(tree.left[node], lower, left_upper)
         right_lower = lower.copy()
         right_lower[feat] = max(right_lower[feat], th)
-        descend(tree.right[node], right_lower, upper)
-
-    descend(tree.root, np.full(tree.n_features, -np.inf), np.full(tree.n_features, np.inf))
+        stack.append((tree.right[node], right_lower, upper))
+        stack.append((tree.left[node], lower, left_upper))  # left is visited first
     return np.array(lowers), np.array(uppers), tree.value[leaves]
 
 

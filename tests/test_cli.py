@@ -496,6 +496,26 @@ CANCELLING_MODEL = {
 }
 
 
+# Models whose numbers are all finite but whose checks meet a NaN residual,
+# which a test of `residual > tolerance` lets pass. Each reads the row a=0.
+NAN_RESIDUAL_MODELS = {
+    # Both trees send the row to 1.5e308: the prediction and the
+    # decomposition are both inf, and inf - inf is NaN.
+    "additive_identity": [
+        {"root": 0, "nodes": [json_split(0, 0.0, 2, 0, 0.5, 1, 2), json_leaf(1, 1.5e308, 1), json_leaf(2, -1.5e308, 1)]},
+    ] * 2,
+    # The path 1.5e308 -> -1.5e308 -> 1.5e308 steps by -inf, then +inf.
+    "telescoping": [
+        {"root": 0, "nodes": [json_split(0, 1.5e308, 4, 0, 0.5, 1, 2), json_split(1, -1.5e308, 2, 0, 0.25, 3, 4),
+                              json_leaf(2, 0.0, 2), json_leaf(3, 1.5e308, 1), json_leaf(4, 0.0, 1)]},
+    ],
+    # 2 * 1e308 + 2 * -1e308 is inf + -inf.
+    "node_means": [
+        {"root": 0, "nodes": [json_split(0, 7.0, 4, 0, 0.5, 1, 2), json_leaf(1, 1e308, 2), json_leaf(2, -1e308, 2)]},
+    ],
+}
+
+
 class TestVerify:
     # Exit code, stdout and stderr recorded before verify's checks were
     # rebuilt on the traversal kernel.
@@ -535,6 +555,44 @@ class TestVerify:
             "leaf_partition: ok\n",
             "verification failed: additive_identity\n",
         )
+
+    @pytest.mark.parametrize("check", NAN_RESIDUAL_MODELS)
+    def test_a_nan_residual_fails_the_check(self, check, tmp_path, capsys):
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model.write_text(json.dumps({
+            "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a"],
+            "trees": NAN_RESIDUAL_MODELS[check],
+        }))
+        data.write_text("a,y\n0.0,0.0\n")
+        code = cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y"])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert f"{check}: FAIL" in out and "all checks passed" not in out
+        if check == "additive_identity":
+            code = cli.main(["explain", "--model", str(model), "--data", str(data), "--target", "y", "--check"])
+            assert code == 4
+            assert capsys.readouterr().err == "additivity violated at sample 0: prediction inf vs decomposition inf\n"
+
+    def test_a_chain_deeper_than_the_recursion_limit_verifies(self, tmp_path, capsys):
+        # Internal node k (k < 3000) tests a <= -k; its left child is node
+        # k + 1 and its right child leaf 3001 + k. Node 3000 is the deepest
+        # leaf. Each internal value is its children's weighted mean, as the
+        # check computes it, so every check holds.
+        depth = 3000
+        value = {3000: 2.0, **{depth + 1 + k: float(k % 5) for k in range(depth)}}
+        nodes = [json_leaf(node, v, 1) for node, v in value.items()]
+        for k in reversed(range(depth)):
+            n_left = depth - k
+            value[k] = (n_left * value[k + 1] + 1 * value[depth + 1 + k]) / (n_left + 1)
+            nodes.append(json_split(k, value[k], n_left + 1, 0, float(-k), k + 1, depth + 1 + k))
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model.write_text(json.dumps({
+            "format_version": 1, "f0": 0.5, "learning_rate": 0.1, "feature_names": ["a"],
+            "trees": [{"root": 0, "nodes": nodes}],
+        }))
+        data.write_text("a,y\n" + "".join(f"{-157 * i - 0.5},0\n" for i in range(19)) + "-5000,0\n")
+        code = cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y"])
+        assert (code, capsys.readouterr().out.splitlines()[-1]) == (0, "all checks passed")
 
     def test_fresh_model_passes_all_checks(self, data_csv, model_json, capsys):
         code = cli.main([

@@ -1,5 +1,6 @@
 import hashlib
 import csv
+import io
 import json
 import re
 import tracemalloc
@@ -20,8 +21,8 @@ from boostcontrib import (
 from boostcontrib import DataError, boosting, cart, experiments
 from boostcontrib.experiments import (
     ExperimentConfig,
+    ExperimentReport,
     dataset_fingerprint,
-    format_cell,
     run_correlation_experiment,
     run_noise_experiment,
     run_outlier_experiment,
@@ -219,14 +220,35 @@ class TestWriteReport:
         assert json.loads(text)["experiment"] == "noise"
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
-    def test_format_cell(self):
-        assert format_cell(5) == "5"
-        assert format_cell(np.int64(5)) == "5"
-        assert format_cell(0.1) == "0.1"
-        assert format_cell(np.float64(2.5)) == "2.5"
-        assert format_cell("x0") == "x0"
-        with pytest.raises(TypeError):
-            format_cell(True)
+    def test_cells_of_every_kind(self, tmp_path):
+        # A seed beyond int64, numpy integers and floats of both widths, NaN,
+        # and a name that csv must quote.
+        name = 'a,b"c\nd'
+        rows = (
+            (2**64, np.int64(-3), np.float64(0.1), np.float32(0.1), float("nan"), name),
+            (0, np.int64(7), np.float64(-2.5), np.float32(1e-3), 1.5, "x0"),
+        )
+        report = ExperimentReport("hand", ("seed", "count", "f64", "f32", "nan", "name"), rows, {})
+        csv_path, _ = write_report(report, tmp_path)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(report.columns)
+        writer.writerows(
+            [str(int(seed)), str(int(count)), repr(float(f64)), repr(float(f32)), repr(float(nan)), text]
+            for seed, count, f64, f32, nan, text in rows
+        )
+        assert csv_path.read_bytes() == expected.getvalue().encode()
+        assert '18446744073709551616,-3,0.1,0.10000000149011612,nan,"a,b""c\nd"\n' in expected.getvalue()
+
+    def test_no_rows_writes_the_header_alone(self, tmp_path):
+        report = ExperimentReport("empty", ("seed", "a,b", "mean"), (), {})
+        csv_path, _ = write_report(report, tmp_path)
+        assert csv_path.read_bytes() == b'seed,"a,b",mean\n'
+
+    def test_an_empty_cell_alone_on_its_line_is_quoted(self, tmp_path):
+        report = ExperimentReport("one", ("name",), (("",), ("x",)), {})
+        csv_path, _ = write_report(report, tmp_path)
+        assert csv_path.read_bytes() == b'name\n""\nx\n'
 
 
 class TestInputsUntouched:

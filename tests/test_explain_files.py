@@ -1,10 +1,12 @@
 """explain's output files against the library's per-row objects.
 
 The CLI writes its files from the kernel's arrays. The reference here writes
-the same files the plain way: write_csv over batch_explain,
+the same files the plain way: the csv module over batch_explain,
 iter_decision_contributions and iter_decision_spaces, one object per row.
+Their numbers are Python ints and floats, which csv writes via str and repr.
 """
 
+import csv
 import io
 import json
 
@@ -19,7 +21,6 @@ from boostcontrib import (
     load_csv,
     load_model,
 )
-from boostcontrib.experiments import write_csv
 from conftest import json_leaf, json_split
 
 
@@ -51,12 +52,14 @@ DATA = (
 
 def csv_text(header, rows) -> str:
     fh = io.StringIO()
-    write_csv(fh, header, rows)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return fh.getvalue()
 
 
 def reference_files(model, X) -> dict[str, str]:
-    """Each explain file as write_csv writes the library's per-row objects."""
+    """Each explain file as the csv module writes the library's per-row objects."""
     names = model.feature_names
     return {
         "--out": csv_text(

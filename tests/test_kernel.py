@@ -1,7 +1,7 @@
 """The flat-array batch kernel against the per-tree walk and the oracle.
 
 Every quantity the kernel produces must equal its reference bit for bit:
-contributions and bias against the oracle's recursive descent, predictions
+contributions and bias against the oracle's descent, predictions
 against f0 + lr * (leaf values added tree by tree through tree_predict),
 and the batched per-edge views against their single-row forms.
 """
