@@ -36,6 +36,10 @@ PAD_CELLS = 1024
 # together; measured on the outlier study's fits, shared 2-core x86_64.
 SEARCH_CELLS = 2**13
 
+# A level of at most this many nodes keeps its per-node bookkeeping in
+# Python lists rather than arrays.
+LOOP_NODES = 8
+
 
 @dataclass(frozen=True)
 class CartParams:
@@ -252,7 +256,7 @@ def _grow(y, presorted, params: CartParams, rngs) -> tuple[list[Tree], np.ndarra
     the grower's own partition of the rows."""
     Xt, block, counts = presorted
     grower = _Grower(Xt, y, params)
-    grower.grow(block, counts, 0)
+    grower.grow(block, np.array(counts), 0)
     return grower.walk(rngs), np.array(grower.value).take(grower.leaf)
 
 
@@ -298,6 +302,7 @@ class _Grower:
     def __init__(self, Xt, y, params: CartParams):
         self.Xt = Xt
         self.y = y
+        self.yy = np.stack([y, y * y])
         self.params = params
         self.side = np.empty(y.size, dtype=np.int8)  # per row: 0 left, 1 right, 2 stays
         self.leaf = np.empty(y.size, dtype=np.intp)
@@ -310,118 +315,145 @@ class _Grower:
         `depth`, and all their descendants; return the first one's record,
         which the others follow."""
         first = len(self.n_cand)
-        while counts:
+        while counts.size:
             block, counts = self._level(block, counts, depth)
             depth += 1
         return first
 
     def _level(self, block, counts, depth):
         """Record one level's nodes; return the next level's block and
-        counts, or (None, []) after the last level."""
+        counts, or no counts after the last level."""
         params, side, d = self.params, self.side, block.shape[0] - 1
-        size, base, c0 = len(counts), len(self.n_cand), self.n_stored
-        starts = list(accumulate(counts, initial=0))
-        y_rows = self.y.take(block[d])
+        size, base, c0 = counts.size, len(self.n_cand), self.n_stored
+        ends = counts.cumsum()
+        starts = ends - counts
         self.leaf[block[d]] = np.arange(base, base + size).repeat(counts)
-        searched = []  # (size, node) of each node to search: its targets differ
-        if depth < params.max_depth:
-            live = np.maximum.reduceat(y_rows, starts[:-1]) > np.minimum.reduceat(y_rows, starts[:-1])
-            searched = sorted(
-                (n, q) for q, (n, differ) in enumerate(zip(counts, live.tolist()))
-                if differ and n >= params.min_samples_split
-            )
-        total, total_sq = [0.0] * size, [0.0] * size
-        by_size = {}
-        for q, n in enumerate(counts):
-            by_size.setdefault(n, []).append(q)
-        for n, nodes in by_size.items():
-            if len(nodes) == 1:
-                y_nodes = y_rows[starts[nodes[0]]:starts[nodes[0]] + n].reshape(1, n)
+        yy = self.yy.take(block[d], axis=1)
+        stats = np.empty((3, size))  # per node: rows, sum of y, sum of y * y
+        stats[0] = counts
+        order = counts.argsort(kind="stable")  # by size, then node
+        sizes = counts.take(order).tolist()
+        at, order_at, starts_at, counts_at = 0, order.tolist(), starts.tolist(), counts.tolist()
+        while at < size:  # each size's nodes summed as the rows of one (2, k, n) array
+            n, b = sizes[at], at + 1
+            while b < size and sizes[b] == n:
+                b += 1
+            if b - at == 1:
+                s = starts_at[order_at[at]]
+                stats[1:, order_at[at]] = np.add.reduce(yy[:, s:s + n], axis=1)
             else:
-                y_nodes = y_rows.take(np.add.outer([starts[q] for q in nodes], np.arange(n)))
-            for q, t in zip(nodes, np.add.reduce(y_nodes, axis=1).tolist()):
-                total[q] = t
-            if searched and n >= params.min_samples_split:
-                for q, t in zip(nodes, np.add.reduce(y_nodes * y_nodes, axis=1).tolist()):
-                    total_sq[q] = t
-        self.value += [t / n for t, n in zip(total, counts)]  # np.mean's sum and division
-        self.n_samples += counts
-        self.n_cand += [0] * size
-        self.first += [-1] * size
-        self.left += [-1] * size
-        self.right += [-1] * size
+                nodes = order[at:b]
+                stats[1:, nodes] = np.add.reduce(yy.take(starts.take(nodes)[:, None] + np.arange(n), axis=1), axis=2)
+            at = b
+        self.value += (stats[1] / stats[0]).tolist()  # np.mean's sum and division
+        self.n_samples += counts_at
 
-        n_left, f_left, level_i, level_f = {}, {}, [], []
-        for run in _runs(searched, d):
-            width = run[-1][0]
-            if len(run) == 1:
-                slab = block[:d, starts[run[0][1]]:starts[run[0][1]] + width].reshape(d, 1, width)
-            else:  # each node's run, then its last row repeated up to the width
-                pos = np.add.outer([starts[q] for _, q in run], np.arange(width))
-                slab = block[:d].take(np.minimum(pos, pos[:, :1] + [[n - 1] for n, _ in run]), axis=1)
-            node, i, f, low, high, _gain = _search(
-                self.Xt, self.y, slab, *np.array([(n, total[q], total_sq[q]) for n, q in run]).T,
-                params.min_samples_leaf, params.min_gain,
-            )
-            self.cands.append(np.array([f, low, high]))
-            self.swap += bytes(i.size)
-            level_i.append(i)
-            level_f.append(f)
-            for c, (q, i_c, f_c) in enumerate(zip(node.tolist(), i.tolist(), f.tolist()), start=self.n_stored):
-                q = run[q][1]
-                if not self.n_cand[base + q]:
-                    self.first[base + q] = c
-                    n_left[q], f_left[q] = i_c + 1, f_c
-                self.n_cand[base + q] += 1
-            self.n_stored += i.size
-        if not n_left:
-            return None, []
-
-        # Each split node's rows go right, but for its first candidate's left rows.
-        side[block[d]] = 2
-        for q, rows_left in n_left.items():
-            side[block[d, starts[q]:starts[q + 1]]] = 1
-            side[block[f_left[q], starts[q]:starts[q] + rows_left]] = 0
-        tied = [q for q in n_left if self.n_cand[base + q] > 1]
-        if tied:
-            self._check_ties(block, starts, counts, tied, n_left, level_i, level_f, c0, base, depth)
-        split = sorted(n_left)
-        for at, q in enumerate(split):
-            self.left[base + q] = base + size + at
-            self.right[base + q] = base + size + len(split) + at
-        if not split:  # every split was held
-            return None, []
-        lefts = [n_left[q] for q in split]
+        found = []  # per search: its candidates' nodes, i and features
+        if depth < params.max_depth:
+            live = np.maximum.reduceat(yy[0], starts) > np.minimum.reduceat(yy[0], starts)  # so 2 rows at least
+            if params.min_samples_split > 2:
+                live &= counts >= params.min_samples_split
+            searched = order.compress(live.take(order))
+            sizes = counts.take(searched).tolist()
+            for j, k in _runs(sizes, d):
+                nodes, width = searched[j:k], sizes[k - 1]
+                if k - j == 1:
+                    s = starts_at[nodes[0]]
+                    slab = block[:d, s:s + width].reshape(d, 1, width)
+                else:  # each node's run, then its last row repeated up to the width
+                    pos = starts.take(nodes)[:, None] + np.arange(width)
+                    slab = block[:d].take(np.minimum(pos, ends.take(nodes)[:, None] - 1), axis=1)
+                node, i, f, low, high, _gain = _search(
+                    self.Xt, self.y, slab, *stats.take(nodes, axis=1), params.min_samples_leaf, params.min_gain
+                )
+                self.cands.append(np.array([f, low, high]))
+                found.append(np.array([nodes.take(node), i, f]))
+        found = np.concatenate(found, axis=1) if len(found) > 1 else found[0] if found else np.empty((3, 0), np.intp)
+        q, i, f = found
+        self.n_stored += q.size
+        self.swap += bytes(q.size)
+        if not q.size:
+            n_cand, first, left, right, counts = [0] * size, [-1] * size, [-1] * size, [-1] * size, counts[:0]
+        elif size <= LOOP_NODES:  # a few nodes: each per-node step is cheaper in Python
+            n_cand, first, n_left, f_left = [0] * size, [-1] * size, [0] * size, [0] * size
+            for c, (q, i_c, f_c) in enumerate(zip(*found.tolist()), start=c0):
+                if not n_cand[q]:  # each node's first candidate: _search lists them node by node
+                    first[q], n_left[q], f_left[q] = c, i_c + 1, f_c
+                n_cand[q] += 1
+            # Each split node's rows go right, but for its first candidate's left rows.
+            side[block[d]] = 2
+            for s, n, n_l, f_l in zip(starts_at, counts_at, n_left, f_left):
+                if n_l:
+                    side[block[d, s:s + n]] = 1
+                    side[block[f_l, s:s + n_l]] = 0
+            if max(n_cand) > 1:
+                n_left = np.array(n_left)
+                tied = [q for q, m in enumerate(n_cand) if m > 1]
+                self._check_ties(block, starts, counts, tied, n_left, found, c0, base, depth)
+                n_left = n_left.tolist()
+            split = [q for q, n_l in enumerate(n_left) if n_l]
+            left, right = [-1] * size, [-1] * size
+            for at, q in enumerate(split, start=base + size):
+                left[q], right[q] = at, at + len(split)
+            lefts = [n_left[q] for q in split]
+            counts = np.array(lefts + [counts_at[q] - n for q, n in zip(split, lefts)], dtype=np.intp)
+        else:
+            new = np.ones(q.size, dtype=bool)
+            new[1:] = q[1:] != q[:-1]
+            at = new.nonzero()[0]  # each node's first candidate: _search lists them node by node
+            split = q.take(at)
+            n_cand = np.bincount(q, minlength=size)
+            n_left = np.zeros(size, dtype=np.intp)
+            n_left[split] = lengths = i.take(at) + 1
+            first = np.full(size, -1)
+            first[split] = at + c0
+            # Each split node's rows go right, but for its first candidate's left rows.
+            side[block[d]] = (n_left == 0).repeat(counts) + 1
+            side[_prefixes(block, f.take(at), starts.take(split), lengths)[0]] = 0
+            tied = (n_cand > 1).nonzero()[0]
+            if tied.size:
+                self._check_ties(block, starts, counts, tied, n_left, found, c0, base, depth)
+            split = n_left.nonzero()[0]
+            links = np.full((2, size), -1)
+            links[:, split] = np.arange(base + size, base + size + 2 * split.size).reshape(2, -1)
+            lefts = n_left.take(split)
+            n_cand, first, (left, right) = n_cand.tolist(), first.tolist(), links.tolist()
+            counts = np.concatenate([lefts, counts.take(split) - lefts])
+        self.n_cand += n_cand
+        self.first += first
+        self.left += left
+        self.right += right
+        if not counts.size:  # no split, or every split was held
+            return None, counts
         if depth + 1 == params.max_depth:
             block = block[d:]  # the children are leaves: only their sums are taken
-        return _partition(block, side), lefts + [counts[q] - n for q, n in zip(split, lefts)]
+        return _partition(block, side), counts
 
-    def _check_ties(self, block, starts, counts, tied, n_left, level_i, level_f, c0, base, depth):
-        """Sort out the level's tied nodes. A candidate that sends the first
-        candidate's left rows left only picks the split; one that sends its
-        right rows left also swaps the children. If any sends a third set of
-        rows left, the node is held: it leaves this level's split."""
-        cands = [
-            (q, c) for q in tied for c in range(self.first[base + q], self.first[base + q] + self.n_cand[base + q])
-        ]
-        node, c = (np.array(column) for column in zip(*cands))
-        i, f = np.concatenate(level_i).take(c - c0), np.concatenate(level_f).take(c - c0)
+    def _check_ties(self, block, starts, counts, tied, n_left, found, c0, base, depth):
+        """Sort out the level's `tied` nodes, given its candidates `found`
+        (node, i, feature), numbered from c0, and each node's n_left. A
+        candidate that sends the first candidate's left rows left only
+        picks the split; one that sends its right rows left also swaps the
+        children. If any sends a third set of rows left, the node is held:
+        it leaves this level's split, its n_left set to 0."""
+        q, i, f = found
+        is_tied = np.zeros(counts.size, dtype=bool)
+        is_tied[tied] = True
+        c = is_tied.take(q).nonzero()[0]
+        node, lengths, f = q.take(c), i.take(c) + 1, f.take(c)
         # The first candidate's left rows among each candidate's first i + 1.
-        lengths = i + 1
-        ends = lengths.cumsum()
-        skip = f * block.shape[1] + np.array(starts).take(node) - (ends - lengths)
-        is_left = self.side.take(block.take(skip.repeat(lengths) + np.arange(ends[-1]))) == 0
-        in_prefix = np.add.reduceat(is_left.astype(np.int64), ends - lengths)
-        n_l = np.array([n_left[q] for q, _ in cands])
-        swaps = (lengths == np.array(counts).take(node) - n_l) & (in_prefix == 0)
+        rows, offsets = _prefixes(block, f, starts.take(node), lengths)
+        in_prefix = np.add.reduceat(self.side.take(rows) == 0, offsets, dtype=np.intp)
+        n_l = n_left.take(node)
+        swaps = (lengths == counts.take(node) - n_l) & (in_prefix == 0)
         agrees = swaps | ((lengths == n_l) & (in_prefix == n_l))
-        for c_swap in c[swaps].tolist():
+        for c_swap in (c.compress(swaps) + c0).tolist():
             self.swap[c_swap] = 1
-        for q in set(node[~agrees].tolist()):
-            own = node == q
-            self.side[block[-1, starts[q]:starts[q + 1]]] = 2
-            del n_left[q]
-            self.held[base + q] = (depth, block[:, starts[q]:starts[q + 1]].copy(), f[own].tolist(), lengths[own].tolist())
+        for q in set(node.compress(~agrees).tolist()):
+            own, s, e = node == q, int(starts[q]), int(starts[q] + counts[q])
+            self.side[block[-1, s:e]] = 2
+            n_left[q] = 0
+            self.held[base + q] = (depth, block[:, s:e].copy(), f.compress(own).tolist(), lengths.compress(own).tolist())
 
     def _grow_held(self, record, pick) -> int:
         """Grow held `record`'s children by its candidate `pick`; return the
@@ -430,7 +462,7 @@ class _Grower:
         n_left = n_lefts[pick]
         self.side[block[-1]] = 1
         self.side[block[features[pick], :n_left]] = 0
-        return self.grow(_partition(block, self.side), [n_left, block.shape[1] - n_left], depth + 1)
+        return self.grow(_partition(block, self.side), np.array([n_left, block.shape[1] - n_left]), depth + 1)
 
     def walk(self, rngs) -> list[Tree]:
         """The trees of roots 0, 1, ..., each with its records numbered in
@@ -471,21 +503,29 @@ class _Grower:
         return [Tree(*(field[a:b] for field in fields), n_features=self.Xt.shape[0]) for a, b in zip(starts, ends)]
 
 
-def _runs(searched, d):
-    """`searched`, (size, node) pairs by increasing size, in runs that one
-    search takes, each node padded to its run's largest. A run takes in
-    another node while it pads at most PAD_CELLS cells per node beyond its
-    first and holds at most SEARCH_CELLS cells."""
+def _runs(sizes, d):
+    """Cut `sizes`, the sizes of the nodes to search in increasing order,
+    into runs that one search takes, as (first, end) index pairs, each node
+    padded to its run's largest. A run takes in another node while it pads
+    at most PAD_CELLS cells per node beyond its first and holds at most
+    SEARCH_CELLS cells."""
     j = 0
-    while j < len(searched):
-        k, rows = j + 1, searched[j][0]
-        while k < len(searched) and (n := searched[k][0]) * (k - j + 1) <= min(
+    while j < len(sizes):
+        k, rows = j + 1, sizes[j]
+        while k < len(sizes) and (n := sizes[k]) * (k - j + 1) <= min(
             SEARCH_CELLS // d, rows + n + PAD_CELLS * (k - j) // d
         ):
             rows += n
             k += 1
-        yield searched[j:k]
+        yield j, k
         j = k
+
+
+def _prefixes(block, feature, start, length):
+    """The cells block[feature[c], start[c]:start[c] + length[c]] for each c,
+    one run after another, and where each run begins."""
+    offsets = length.cumsum() - length
+    return block.take((feature * block.shape[1] + start - offsets).repeat(length) + np.arange(offsets[-1] + length[-1])), offsets
 
 
 def _partition(block, side):
