@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 
 import numpy as np
 
 from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, _presort, node_depths
-from .data import Dataset
+from .data import DataError, Dataset
 from .kernel import FlatForest
 
 MODEL_FORMAT_VERSION = 1
@@ -87,14 +87,25 @@ def _fit_group(datasets: list[Dataset], params: GbdtParams, seeds) -> list[Ensem
     grower over the fits' stacked rows; each fit's tree still draws from its
     own stream [s, l], and each row's running value and residual are the
     bits its fit alone gives, so every model equals its separate fit."""
-    f0 = [float(np.mean(ds.target)) for ds in datasets]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = [float(np.mean(ds.target)) for ds in datasets]
     presorted = _presort([ds.features for ds in datasets])
     target = np.concatenate([ds.target for ds in datasets])
-    running = np.repeat(f0, presorted[2])
+    counts = presorted[2]
+    running = np.repeat(f0, counts)
     stages: list[list[Tree]] = []
     for l in range(1, params.n_estimators + 1):
-        rngs = [np.random.default_rng([seed, l]) for seed in seeds]
-        grown, leaf_value = _grow(target - running, presorted, params.cart, rngs)
+        # Every sum the split search forms is at most n * sum(r * r) over its
+        # fit's rows, so a stage whose bound is finite cannot overflow there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = target - running
+            bound = np.add.reduceat(residual * residual, np.cumsum(counts) - counts) * counts
+        if not np.isfinite(bound).all():
+            raise DataError(
+                f"targets too large to fit: n * (sum of squared residuals) overflows at stage {l}; scale them down"
+            )
+        rngs = [partial(np.random.default_rng, [seed, l]) for seed in seeds]  # made at a tree's first draw
+        grown, leaf_value = _grow(residual, presorted, params.cart, rngs)
         # + 0.0 turns -0.0 into +0.0, as the kernel's leaf sum (a bincount from
         # +0.0) does, so the running model keeps the bits that update gave.
         running = running + params.learning_rate * (leaf_value + 0.0)

@@ -38,7 +38,7 @@ SEARCH_CELLS = 2**13
 
 # A level of at most this many nodes keeps its per-node bookkeeping in
 # Python lists rather than arrays.
-LOOP_NODES = 8
+LOOP_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def fit_cart(
     Raises ValueError naming the first row of X or y that holds NaN or ±inf.
     """
     X, y = _check_training(X, y)
-    return _grow(y, _presort([X]), params, [rng])[0][0]
+    return _grow(y, _presort([X]), params, [lambda: rng])[0][0]
 
 
 def _presort(Xs):
@@ -251,7 +251,8 @@ def _presort(Xs):
 
 def _grow(y, presorted, params: CartParams, rngs) -> tuple[list[Tree], np.ndarray]:
     """fit_cart on finite float arrays, given _presort(Xs) and y the Xs'
-    targets stacked: the tree of each X, drawing from its own rng of rngs.
+    targets stacked: the tree of each X, drawing from the generator that
+    its callable of rngs returns, called at the tree's first draw.
     Also returns the value of the leaf each stacked row falls in, read off
     the grower's own partition of the rows."""
     Xt, block, counts = presorted
@@ -470,8 +471,8 @@ class _Grower:
         its root's rng when the walk reaches it."""
         left, right, first, n_cand = self.left, self.right, self.first, self.n_cand
         visit, chosen, ends = [], [], []
-        for root, rng in enumerate(rngs):
-            stack = [root]
+        for root, make_rng in enumerate(rngs):
+            stack, rng = [root], None
             while stack:
                 record = stack.pop()
                 visit.append(record)
@@ -481,6 +482,7 @@ class _Grower:
                     continue
                 c = first[record]
                 if m > 1:
+                    rng = rng or make_rng()
                     pick = int(rng.integers(m))
                     c += pick
                     if record in self.held:

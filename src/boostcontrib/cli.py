@@ -81,6 +81,7 @@ def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
                 fh.write(prefix + prefix.join(edges))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _additivity_violation(bias: float, contributions, predictions) -> str | None:
     """The first sample whose bias + contributions misses its prediction by
     more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|), or by NaN,
@@ -183,6 +184,7 @@ def cmd_importance(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
     """The first sample, then tree, whose root value plus the differences
     along its path misses its leaf value by more than 1e-12 relative, or by
@@ -200,6 +202,7 @@ def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _node_mean_violation(model: Ensemble) -> str | None:
     """The first internal node whose value is not its children's weighted
     mean, within 1e-9 relative, or whose residual is NaN."""

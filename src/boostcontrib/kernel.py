@@ -63,9 +63,10 @@ class FlatForest:
         internal = np.flatnonzero(self.left != np.arange(self.left.size))
         self.parent = np.arange(self.left.size)
         self.residue = np.zeros(self.left.size)
-        for child in (self.left[internal], self.right[internal]):
-            self.parent[child] = internal
-            self.residue[child] = learning_rate * (self.value[child] - self.value[internal])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residue is verify's to report
+            for child in (self.left[internal], self.right[internal]):
+                self.parent[child] = internal
+                self.residue[child] = learning_rate * (self.value[child] - self.value[internal])
 
     def paths(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Route every row of X through every tree, one level at a time.

@@ -29,6 +29,7 @@ def naive_contributions(ens: Ensemble, x) -> tuple[float, np.ndarray]:
     return bias, contributions[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing values yield inf or NaN, which verify reports
 def naive_contributions_batch(ens: Ensemble, X) -> tuple[float, np.ndarray]:
     """Recompute the bias and the (n, n_features) contributions of the rows
     of X by descent from each root, carrying the set of rows that reach each

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from boostcontrib import (
     CartParams,
+    DataError,
     Dataset,
     Ensemble,
     GbdtParams,
@@ -538,6 +539,41 @@ class TestStageUpdate:
         self.assert_residuals_match_the_kernel_update(ds, params)
 
 
+class TestOverflowingTargets:
+    """A fit whose residual sums could overflow is refused before its trees
+    grow; one whose sums stay finite fits as it always did."""
+
+    PARAMS = GbdtParams(n_estimators=3, cart=CartParams(max_depth=4))
+
+    @staticmethod
+    def signed_targets(magnitude):
+        # The sign of x0, plus 1% of x1, times the magnitude.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(1000, 3))
+        return Dataset(X, magnitude * (np.sign(X[:, 0]) + 0.01 * X[:, 1]), ("a", "b", "c"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_residual_sums_are_refused(self):
+        # n * sum(r * r) is about 1e310: the fit once gave one-leaf trees.
+        with pytest.raises(DataError, match="targets too large to fit"):
+            fit_gbdt(self.signed_targets(1e152), self.PARAMS)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_residual_sums_fit_as_before(self, tmp_path):
+        # n * sum(r * r) is about 1e306. Pinned before the refusal existed.
+        model = fit_gbdt(self.signed_targets(1e150), self.PARAMS)
+        assert [int(tree.is_leaf.sum()) for tree in model.trees] == [16, 16, 16]
+        assert TestPinnedModels.saved_sha256(model, tmp_path) == (
+            "e24b42a1b7985e882e80436aef5a2613a36b2386603aac48e85793d0ad7f982c"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_overflowing_fit_refuses_its_group(self):
+        datasets = [self.signed_targets(1.0), self.signed_targets(1e152)]
+        with pytest.raises(DataError, match="targets too large to fit"):
+            boosting._fit_group(datasets, self.PARAMS, [0, 1])
+
+
 def group_data(data_seed, sizes, d, slopes, decimals):
     """One dataset per entry of `sizes`: rounded features, so candidates tie,
     targets that are integers when decimals is 0, so tied candidates often
@@ -606,6 +642,35 @@ class TestGroupFit:
             group = boosting._fit_group(datasets, params, [0, 1, 1, 2])
         assert held
         self.assert_equals_separate_fits(group, datasets, params, [0, 1, 1, 2], tmp_path)
+
+    @pytest.mark.parametrize("pad_cells", [0, 10**9])
+    def test_wide_levels_equal_separate_fits(self, pad_cells, tmp_path):
+        # Five fits of 150-250 rows at depth 15, rounded columns, a copy
+        # column increasing in some fits and decreasing in others, integer
+        # targets: the deep levels hold more nodes than LOOP_NODES, span
+        # several searches under SEARCH_CELLS and have ties that swap
+        # children and ties that hold nodes.
+        real_runs, real_walk, runs, swaps, held = cart._runs, cart._Grower.walk, [], [], []
+
+        def runs_spy(sizes, d):
+            cut = list(real_runs(sizes, d))
+            runs.append((len(sizes), len(cut)))
+            return cut
+
+        def walk_spy(self, rngs):
+            swaps.append(sum(self.swap))
+            held.append(len(self.held))
+            return real_walk(self, rngs)
+
+        datasets = group_data(1, [150, 250, 200, 180, 230], 8, [1, -1, 0, 1, -1], 0)
+        params = GbdtParams(n_estimators=3, learning_rate=0.5, cart=CartParams(max_depth=15))
+        seeds = [0, 1, 2, 0, 1]
+        with mock.patch.object(cart, "PAD_CELLS", pad_cells):
+            with mock.patch.object(cart, "_runs", runs_spy), mock.patch.object(cart._Grower, "walk", walk_spy):
+                group = boosting._fit_group(datasets, params, seeds)
+            assert any(nodes > cart.LOOP_NODES and cut > 1 for nodes, cut in runs)
+            assert sum(swaps) and sum(held)
+            self.assert_equals_separate_fits(group, datasets, params, seeds, tmp_path)
 
     @pytest.mark.parametrize("k", [1, 3], ids=["one fit", "group"])
     def test_copy_ties_grow_with_their_level(self, k):

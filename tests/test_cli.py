@@ -142,6 +142,19 @@ class TestTrain:
         capsys.readouterr()
 
 
+    def test_targets_whose_residual_sums_overflow_are_refused(self, tmp_path, capsys):
+        # Targets 1.5**i, i < 1100, reach 1e193, whose squares overflow. The
+        # fit is refused, where a one-leaf model with train_mse=inf was written.
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        data.write_text("x,y\n" + "".join(f"{i},{1.5 ** i!r}\n" for i in range(1100)))
+        code = cli.main([
+            "train", "--data", str(data), "--target", "y", "--max-depth", "2000",
+            "--model-out", str(model),
+        ])
+        assert code == 3
+        assert not model.exists()
+        assert capsys.readouterr().err.startswith("error: targets too large to fit")
+
     @pytest.mark.parametrize(
         "low, high, rows, split",
         [
@@ -557,6 +570,7 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize("check", NAN_RESIDUAL_MODELS)
+    @pytest.mark.filterwarnings("error")  # the FAIL line is the only report: no numpy warning leaks
     def test_a_nan_residual_fails_the_check(self, check, tmp_path, capsys):
         model, data = tmp_path / "model.json", tmp_path / "data.csv"
         model.write_text(json.dumps({
