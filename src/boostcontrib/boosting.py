@@ -91,7 +91,8 @@ def _fit_group(datasets: list[Dataset], params: GbdtParams, seeds) -> list[Ensem
         f0 = [float(np.mean(ds.target)) for ds in datasets]
     presorted = _presort([ds.features for ds in datasets])
     target = np.concatenate([ds.target for ds in datasets])
-    counts = presorted[2]
+    counts = np.array(presorted[2])
+    starts = counts.cumsum() - counts
     running = np.repeat(f0, counts)
     stages: list[list[Tree]] = []
     for l in range(1, params.n_estimators + 1):
@@ -99,7 +100,7 @@ def _fit_group(datasets: list[Dataset], params: GbdtParams, seeds) -> list[Ensem
         # fit's rows, so a stage whose bound is finite cannot overflow there.
         with np.errstate(over="ignore", invalid="ignore"):
             residual = target - running
-            bound = np.add.reduceat(residual * residual, np.cumsum(counts) - counts) * counts
+            bound = np.add.reduceat(residual * residual, starts) * counts
         if not np.isfinite(bound).all():
             raise DataError(
                 f"targets too large to fit: n * (sum of squared residuals) overflows at stage {l}; scale them down"

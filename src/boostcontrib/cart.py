@@ -19,7 +19,7 @@ equivalence, which makes the conventions here load-bearing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -36,8 +36,9 @@ PAD_CELLS = 1024
 # together; measured on the outlier study's fits, shared 2-core x86_64.
 SEARCH_CELLS = 2**13
 
-# A level of at most this many nodes keeps its per-node bookkeeping in
-# Python lists rather than arrays.
+# A level of at most this many nodes does its per-node bookkeeping in Python
+# lists, a wider one in arrays: fits timed the same with a cut-over of 8 to 64,
+# narrow fits 5-9% slower at 0, the outlier study 13% slower at no limit.
 LOOP_NODES = 16
 
 
@@ -275,14 +276,18 @@ class _Grower:
     lists each node's rows sorted by (X[:, j], row), as a stable argsort
     of the node's own rows orders them, and row d lists them in increasing
     order. Splitting a level keeps those orders (`_partition`), so nothing
-    is sorted after the first level. Each node's sums are taken as one row
-    of a (k, n) array of all the level's nodes of its size, which gives the
-    node's own bits. Nodes of similar sizes are searched together, padded
-    (`_runs`).
+    is sorted after the first level. Each node's sums of y and y * y are
+    taken as one row of a (2, k, n) array of all the level's nodes of its
+    size, which gives the node's own bits. Nodes of similar sizes are
+    searched together, padded (`_runs`). A level's bookkeeping (first
+    candidates, side marks, tied candidates, child links) is a fixed number
+    of array calls, or a loop over its nodes if it has LOOP_NODES at most;
+    only the walk's draws go node by node.
 
     The rngs wait for the walk, which visits the roots in turn and draws at
     each tied node, one with more than one candidate, from its root's rng,
-    in the order the recursion would. `_check_ties` compares the row sets
+    in the order the recursion would; a root's rng is only made at its
+    first draw. `_check_ties` compares the row sets
     of a tied node's candidates. If they all split its rows into the same
     two sets, as a column and its exact or increasing copy do, the node's
     children grow with the level; the draw only picks the split and which
@@ -302,8 +307,7 @@ class _Grower:
 
     def __init__(self, Xt, y, params: CartParams):
         self.Xt = Xt
-        self.y = y
-        self.yy = np.stack([y, y * y])
+        self.yy = np.stack([y, y * y])  # y is yy[0]
         self.params = params
         self.side = np.empty(y.size, dtype=np.int8)  # per row: 0 left, 1 right, 2 stays
         self.leaf = np.empty(y.size, dtype=np.intp)
@@ -326,26 +330,18 @@ class _Grower:
         counts, or no counts after the last level."""
         params, side, d = self.params, self.side, block.shape[0] - 1
         size, base, c0 = counts.size, len(self.n_cand), self.n_stored
-        ends = counts.cumsum()
-        starts = ends - counts
+        starts = counts.cumsum() - counts
         self.leaf[block[d]] = np.arange(base, base + size).repeat(counts)
         yy = self.yy.take(block[d], axis=1)
         stats = np.empty((3, size))  # per node: rows, sum of y, sum of y * y
         stats[0] = counts
         order = counts.argsort(kind="stable")  # by size, then node
-        sizes = counts.take(order).tolist()
-        at, order_at, starts_at, counts_at = 0, order.tolist(), starts.tolist(), counts.tolist()
-        while at < size:  # each size's nodes summed as the rows of one (2, k, n) array
-            n, b = sizes[at], at + 1
-            while b < size and sizes[b] == n:
-                b += 1
-            if b - at == 1:
-                s = starts_at[order_at[at]]
-                stats[1:, order_at[at]] = np.add.reduce(yy[:, s:s + n], axis=1)
+        starts_at, counts_at = starts.tolist(), counts.tolist()
+        for n, nodes in groupby(order.tolist(), counts_at.__getitem__):  # summed as the rows of one (2, k, n) array
+            if len(nodes := list(nodes)) == 1:
+                stats[1:, nodes[0]] = np.add.reduce(yy[:, starts_at[nodes[0]]:starts_at[nodes[0]] + n], axis=1)
             else:
-                nodes = order[at:b]
                 stats[1:, nodes] = np.add.reduce(yy.take(starts.take(nodes)[:, None] + np.arange(n), axis=1), axis=2)
-            at = b
         self.value += (stats[1] / stats[0]).tolist()  # np.mean's sum and division
         self.n_samples += counts_at
 
@@ -362,18 +358,17 @@ class _Grower:
                     s = starts_at[nodes[0]]
                     slab = block[:d, s:s + width].reshape(d, 1, width)
                 else:  # each node's run, then its last row repeated up to the width
-                    pos = starts.take(nodes)[:, None] + np.arange(width)
-                    slab = block[:d].take(np.minimum(pos, ends.take(nodes)[:, None] - 1), axis=1)
+                    pos = np.minimum(np.arange(width), counts.take(nodes)[:, None] - 1)
+                    slab = block[:d].take(starts.take(nodes)[:, None] + pos, axis=1)
                 node, i, f, low, high, _gain = _search(
-                    self.Xt, self.y, slab, *stats.take(nodes, axis=1), params.min_samples_leaf, params.min_gain
+                    self.Xt, self.yy[0], slab, *stats.take(nodes, axis=1), params.min_samples_leaf, params.min_gain
                 )
                 self.cands.append(np.array([f, low, high]))
                 found.append(np.array([nodes.take(node), i, f]))
-        found = np.concatenate(found, axis=1) if len(found) > 1 else found[0] if found else np.empty((3, 0), np.intp)
-        q, i, f = found
+        q, i, f = found = np.concatenate(found, axis=1) if len(found) > 1 else found[0] if found else np.empty((3, 0), np.intp)
         self.n_stored += q.size
         self.swap += bytes(q.size)
-        if not q.size:
+        if not q.size:  # every node is a leaf
             n_cand, first, left, right, counts = [0] * size, [-1] * size, [-1] * size, [-1] * size, counts[:0]
         elif size <= LOOP_NODES:  # a few nodes: each per-node step is cheaper in Python
             n_cand, first, n_left, f_left = [0] * size, [-1] * size, [0] * size, [0] * size
@@ -387,11 +382,8 @@ class _Grower:
                 if n_l:
                     side[block[d, s:s + n]] = 1
                     side[block[f_l, s:s + n_l]] = 0
-            if max(n_cand) > 1:
-                n_left = np.array(n_left)
-                tied = [q for q, m in enumerate(n_cand) if m > 1]
-                self._check_ties(block, starts, counts, tied, n_left, found, c0, base, depth)
-                n_left = n_left.tolist()
+            if tied := [q for q, m in enumerate(n_cand) if m > 1]:
+                n_left = self._check_ties(block, starts, counts, tied, np.array(n_left), found, c0, base, depth).tolist()
             split = [q for q, n_l in enumerate(n_left) if n_l]
             left, right = [-1] * size, [-1] * size
             for at, q in enumerate(split, start=base + size):
@@ -420,10 +412,8 @@ class _Grower:
             lefts = n_left.take(split)
             n_cand, first, (left, right) = n_cand.tolist(), first.tolist(), links.tolist()
             counts = np.concatenate([lefts, counts.take(split) - lefts])
-        self.n_cand += n_cand
-        self.first += first
-        self.left += left
-        self.right += right
+        for records, column in zip((self.n_cand, self.first, self.left, self.right), (n_cand, first, left, right)):
+            records.extend(column)
         if not counts.size:  # no split, or every split was held
             return None, counts
         if depth + 1 == params.max_depth:
@@ -436,7 +426,7 @@ class _Grower:
         candidate that sends the first candidate's left rows left only
         picks the split; one that sends its right rows left also swaps the
         children. If any sends a third set of rows left, the node is held:
-        it leaves this level's split, its n_left set to 0."""
+        it leaves this level's split. Returns n_left, held nodes' set to 0."""
         q, i, f = found
         is_tied = np.zeros(counts.size, dtype=bool)
         is_tied[tied] = True
@@ -455,6 +445,7 @@ class _Grower:
             self.side[block[-1, s:e]] = 2
             n_left[q] = 0
             self.held[base + q] = (depth, block[:, s:e].copy(), f.compress(own).tolist(), lengths.compress(own).tolist())
+        return n_left
 
     def _grow_held(self, record, pick) -> int:
         """Grow held `record`'s children by its candidate `pick`; return the
@@ -468,7 +459,8 @@ class _Grower:
     def walk(self, rngs) -> list[Tree]:
         """The trees of roots 0, 1, ..., each with its records numbered in
         preorder, left subtree first, drawing each tied node's split from
-        its root's rng when the walk reaches it."""
+        its root's rng when the walk reaches it. rngs holds a callable per
+        root that returns its rng."""
         left, right, first, n_cand = self.left, self.right, self.first, self.n_cand
         visit, chosen, ends = [], [], []
         for root, make_rng in enumerate(rngs):
@@ -527,7 +519,7 @@ def _prefixes(block, feature, start, length):
     """The cells block[feature[c], start[c]:start[c] + length[c]] for each c,
     one run after another, and where each run begins."""
     offsets = length.cumsum() - length
-    return block.take((feature * block.shape[1] + start - offsets).repeat(length) + np.arange(offsets[-1] + length[-1])), offsets
+    return block.take((feature * block.shape[1] + start - offsets).repeat(length) + np.arange(length.sum())), offsets
 
 
 def _partition(block, side):
