@@ -77,7 +77,8 @@ def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
     ds is already checked, so its rows are not checked again per tree. The
     running model takes each row's leaf value from the grower's partition
     of the rows, which is the one `x <= threshold` routing gives: no row is
-    traversed."""
+    traversed. Raises DataError before a stage whose n * sum(r * r) over
+    the residuals r is not finite, since its split sums could overflow."""
     return _fit_group([ds], params, [params.seed])[0]
 
 

@@ -347,7 +347,7 @@ class _Grower:
 
         found = []  # per search: its candidates' nodes, i and features
         if depth < params.max_depth:
-            live = np.maximum.reduceat(yy[0], starts) > np.minimum.reduceat(yy[0], starts)  # so 2 rows at least
+            live = np.maximum.reduceat(yy[0], starts) > np.minimum.reduceat(yy[0], starts)  # differing targets: 2 rows at least
             if params.min_samples_split > 2:
                 live &= counts >= params.min_samples_split
             searched = order.compress(live.take(order))
@@ -372,24 +372,24 @@ class _Grower:
             n_cand, first, left, right, counts = [0] * size, [-1] * size, [-1] * size, [-1] * size, counts[:0]
         elif size <= LOOP_NODES:  # a few nodes: each per-node step is cheaper in Python
             n_cand, first, n_left, f_left = [0] * size, [-1] * size, [0] * size, [0] * size
-            for c, (q, i_c, f_c) in enumerate(zip(*found.tolist()), start=c0):
-                if not n_cand[q]:  # each node's first candidate: _search lists them node by node
-                    first[q], n_left[q], f_left[q] = c, i_c + 1, f_c
-                n_cand[q] += 1
+            for c, (node, i_c, f_c) in enumerate(zip(*found.tolist()), start=c0):
+                if not n_cand[node]:  # each node's first candidate: _search lists them node by node
+                    first[node], n_left[node], f_left[node] = c, i_c + 1, f_c
+                n_cand[node] += 1
             # Each split node's rows go right, but for its first candidate's left rows.
             side[block[d]] = 2
             for s, n, n_l, f_l in zip(starts_at, counts_at, n_left, f_left):
                 if n_l:
                     side[block[d, s:s + n]] = 1
                     side[block[f_l, s:s + n_l]] = 0
-            if tied := [q for q, m in enumerate(n_cand) if m > 1]:
+            if tied := [node for node, m in enumerate(n_cand) if m > 1]:
                 n_left = self._check_ties(block, starts, counts, tied, np.array(n_left), found, c0, base, depth).tolist()
-            split = [q for q, n_l in enumerate(n_left) if n_l]
+            split = [node for node, n_l in enumerate(n_left) if n_l]
             left, right = [-1] * size, [-1] * size
-            for at, q in enumerate(split, start=base + size):
-                left[q], right[q] = at, at + len(split)
-            lefts = [n_left[q] for q in split]
-            counts = np.array(lefts + [counts_at[q] - n for q, n in zip(split, lefts)], dtype=np.intp)
+            for at, node in enumerate(split, start=base + size):
+                left[node], right[node] = at, at + len(split)
+            lefts = [n_left[node] for node in split]
+            counts = np.array(lefts + [counts_at[node] - n for node, n in zip(split, lefts)], dtype=np.intp)
         else:
             new = np.ones(q.size, dtype=bool)
             new[1:] = q[1:] != q[:-1]
@@ -405,7 +405,7 @@ class _Grower:
             side[_prefixes(block, f.take(at), starts.take(split), lengths)[0]] = 0
             tied = (n_cand > 1).nonzero()[0]
             if tied.size:
-                self._check_ties(block, starts, counts, tied, n_left, found, c0, base, depth)
+                n_left = self._check_ties(block, starts, counts, tied, n_left, found, c0, base, depth)
             split = n_left.nonzero()[0]
             links = np.full((2, size), -1)
             links[:, split] = np.arange(base + size, base + size + 2 * split.size).reshape(2, -1)
