@@ -18,9 +18,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, _presort, node_depths
+from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, _presort
 from .data import DataError, Dataset
-from .kernel import FlatForest
+from .kernel import FlatForest, node_depths
 
 MODEL_FORMAT_VERSION = 1
 
@@ -151,14 +151,18 @@ def feature_importance(ens: Ensemble) -> np.ndarray:
     This is the global "which feature split the data best" measure, as
     opposed to the per-sample contributions in :mod:`boostcontrib.contrib`.
     Gains are added tree by tree in node order; a leaf adds +0.0 to
-    feature 0, which changes no sum.
+    feature 0, which changes no sum. Raises ValueError unless the total of
+    the gains is finite and positive.
     """
-    gains = np.bincount(
-        np.concatenate([tree.feature for tree in ens.trees]),
-        weights=np.concatenate([node_split_gain(tree) for tree in ens.trees]),
-        minlength=ens.n_features,
-    )
-    total = gains.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing total is refused below
+        gains = np.bincount(
+            np.concatenate([tree.feature for tree in ens.trees]),
+            weights=np.concatenate([node_split_gain(tree) for tree in ens.trees]),
+            minlength=ens.n_features,
+        )
+        total = gains.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"split gains overflow (their total is {total}); importance undefined")
     if total <= 0.0:
         raise ValueError("no splits; importance undefined")
     return gains / total
@@ -329,7 +333,7 @@ def load_model(path) -> Ensemble:
             payload = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # ValueError covers JSONDecodeError and over-long integers
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from None
     _require(isinstance(payload, dict), "top level must be an object")
     for key in ("format_version", "f0", "learning_rate", "feature_names", "trees"):

@@ -23,6 +23,8 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
+from .kernel import FlatForest
+
 RELATIVE_TIE_TOLERANCE = 1e-12
 
 # Padding a node's search to a larger node's size costs this many (row,
@@ -86,38 +88,6 @@ class Tree:
     def is_leaf(self) -> np.ndarray:
         """Per node, whether it is a leaf."""
         return self.left == np.arange(self.left.size)
-
-
-def node_depths(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=None) -> np.ndarray:
-    """Per node, its number of levels below its root in trees linked by
-    `left` and `right`. Raises ValueError, naming nodes by `ids` (default:
-    positions), unless every node is reached from the roots exactly once: no
-    cycle, no shared subtree, no orphan. Traversal relies on this to terminate."""
-    nodes = np.arange(left.size)
-    names = nodes if ids is None else ids
-    internal = nodes[(left != nodes) | (right != nodes)]
-    links = np.bincount(
-        np.concatenate([roots, left[internal], right[internal]]), minlength=nodes.size
-    )
-    if (links > 1).any():
-        raise ValueError(
-            f"tree nodes do not form trees: node id {names[np.argmax(links > 1)]} "
-            "is reached twice from the root"
-        )
-    # Every node now has one link at most, so no level repeats a node.
-    depths = np.full(nodes.size, -1)
-    depth, level = 0, roots
-    while level.size:
-        depths[level] = depth
-        depth += 1
-        level = level[left[level] != level]
-        level = np.concatenate([left[level], right[level]])
-    if (depths < 0).any():
-        raise ValueError(
-            f"tree nodes do not form trees: node id {names[np.argmin(depths)]} "
-            "is not reached from the root"
-        )
-    return depths
 
 
 def best_split(
@@ -574,15 +544,12 @@ def _check_vector(owner, x) -> np.ndarray:
 
 
 def decision_path(tree: Tree, x) -> list[int]:
-    """Node ids from root to the leaf reached by x, in traversal order."""
+    """Node ids from root to the leaf reached by x, in traversal order: a
+    batch of one through the kernel, which refuses nodes that are not a tree."""
     x = _check_vector(tree, x)
-    node = tree.root
-    path = [node]
-    while tree.left[node] != node:
-        go_left = x[tree.feature[node]] <= tree.threshold[node]
-        node = int(tree.left[node] if go_left else tree.right[node])
-        path.append(node)
-    return path
+    (_rows, ids), = FlatForest([tree], 1.0).paths(x[None])
+    path = ids[0, :, 0].tolist()
+    return path[: path.index(path[-1]) + 1]
 
 
 def tree_predict(tree: Tree, x) -> float:

@@ -12,12 +12,12 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .boosting import (
     Ensemble,
-    GbdtParams,
     ModelFormatError,
     feature_importance,
     fit_gbdt,
@@ -25,12 +25,14 @@ from .boosting import (
     predict_batch,
     save_model,
 )
-from .cart import CartParams
 from .contrib import _decision_bounds, _edges_per_row, _explain_arrays
 from .data import DataError, Dataset, _output, _quoted, _write_table, load_csv, train_test_split
 from .experiments import (
+    CORRELATION_CONFIG,
     DEFAULT_NOISE_LEVELS,
     DEFAULT_SEEDS,
+    NOISE_CONFIG,
+    OUTLIER_CONFIG,
     ExperimentConfig,
     run_correlation_experiment,
     run_noise_experiment,
@@ -118,14 +120,7 @@ def _mse(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def cmd_train(args) -> int:
     ds = load_csv(args.data, args.target)
-    params = GbdtParams(
-        n_estimators=args.n_estimators,
-        learning_rate=args.learning_rate,
-        cart=CartParams(
-            max_depth=args.max_depth, min_samples_leaf=args.min_samples_leaf
-        ),
-        seed=args.seed,
-    )
+    params = _experiment_config(args).gbdt_params(args.seed)
     if args.no_split:
         train, test = ds, None
     else:
@@ -261,13 +256,7 @@ def cmd_verify(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        n_estimators=args.n_estimators,
-        max_depth=args.max_depth,
-        learning_rate=args.learning_rate,
-        min_samples_leaf=args.min_samples_leaf,
-        test_fraction=args.test_fraction,
-    )
+    return ExperimentConfig(**{field.name: getattr(args, field.name) for field in fields(ExperimentConfig)})
 
 
 def _finish_experiment(report, out_dir) -> int:
@@ -320,12 +309,12 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, help="name of the target column")
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser, *, n_estimators: int, max_depth: int) -> None:
-    p.add_argument("--n-estimators", type=_positive_int, default=n_estimators)
-    p.add_argument("--max-depth", type=_positive_int, default=max_depth)
-    p.add_argument("--learning-rate", type=_rate, default=0.1)
-    p.add_argument("--min-samples-leaf", type=_positive_int, default=1)
-    p.add_argument("--test-fraction", type=_fraction, default=0.1)
+def _add_hyper_flags(p: argparse.ArgumentParser, defaults: ExperimentConfig) -> None:
+    p.add_argument("--n-estimators", type=_positive_int, default=defaults.n_estimators)
+    p.add_argument("--max-depth", type=_positive_int, default=defaults.max_depth)
+    p.add_argument("--learning-rate", type=_rate, default=defaults.learning_rate)
+    p.add_argument("--min-samples-leaf", type=_positive_int, default=defaults.min_samples_leaf)
+    p.add_argument("--test-fraction", type=_fraction, default=defaults.test_fraction)
 
 
 def _ranged(convert, ok, requirement: str):
@@ -359,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write it to JSON")
     _add_data_flags(p)
-    _add_hyper_flags(p, n_estimators=100, max_depth=3)
+    _add_hyper_flags(p, ExperimentConfig(n_estimators=100))
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model-out", required=True, help="where to write the model JSON")
     p.add_argument(
@@ -419,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "correlation", help="add an affine copy of a feature and compare attributions"
     )
     _add_data_flags(p)
-    _add_hyper_flags(p, n_estimators=10, max_depth=3)
+    _add_hyper_flags(p, CORRELATION_CONFIG)
     p.add_argument(
         "--base-feature",
         default="auto",
@@ -435,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "noise", help="noise one training feature at several levels and re-attribute"
     )
     _add_data_flags(p)
-    _add_hyper_flags(p, n_estimators=10, max_depth=2)
+    _add_hyper_flags(p, NOISE_CONFIG)
     p.add_argument(
         "--feature",
         default="auto",
@@ -456,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         "outlier", help="plant an extreme fake sample and explain it"
     )
     _add_data_flags(p)
-    _add_hyper_flags(p, n_estimators=10, max_depth=15)
+    _add_hyper_flags(p, OUTLIER_CONFIG)
     p.add_argument(
         "--feature",
         help="feature to push past its max (default: first feature)",

@@ -10,7 +10,11 @@ package reads off a traversal comes from the visited node ids:
 * per-feature contributions, the scaled residues of the visited edges
   credited to the feature tested at each edge's parent;
 * the traversed edges, listed once by :meth:`FlatForest.edges`, from
-  which decision records and decision spaces are read.
+  which decision records and decision spaces are read;
+* one tree's path, which ``cart.decision_path`` reads as a batch of one.
+
+This is the package's one routing code beside the oracle's, and it
+imports nothing from the package at run time.
 
 Summation order is part of the contract (see :mod:`boostcontrib.contrib`):
 both sums are taken with ``np.bincount``, which adds its weights into each
@@ -25,16 +29,50 @@ that started at +0.0 unchanged.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cart import Tree, node_depths
+if TYPE_CHECKING:
+    from .cart import Tree
 
 # Rows per block are chosen so one block's path array holds about this many
 # node ids. This bounds the kernel's working memory whatever the input size,
 # and blocks of this size ran fastest on a 120-tree depth-4 model (2-core
 # x86 machine): a block's temporaries then stay in the CPU cache.
 BLOCK_NODE_IDS = 1 << 15
+
+
+def node_depths(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=None) -> np.ndarray:
+    """Per node, its number of levels below its root in trees linked by
+    `left` and `right`. Raises ValueError, naming nodes by `ids` (default:
+    positions), unless every node is reached from the roots exactly once: no
+    cycle, no shared subtree, no orphan. Traversal relies on this to terminate."""
+    nodes = np.arange(left.size)
+    names = nodes if ids is None else ids
+    internal = nodes[(left != nodes) | (right != nodes)]
+    links = np.bincount(
+        np.concatenate([roots, left[internal], right[internal]]), minlength=nodes.size
+    )
+    if (links > 1).any():
+        raise ValueError(
+            f"tree nodes do not form trees: node id {names[np.argmax(links > 1)]} "
+            "is reached twice from the root"
+        )
+    # Every node now has one link at most, so no level repeats a node.
+    depths = np.full(nodes.size, -1)
+    depth, level = 0, roots
+    while level.size:
+        depths[level] = depth
+        depth += 1
+        level = level[left[level] != level]
+        level = np.concatenate([left[level], right[level]])
+    if (depths < 0).any():
+        raise ValueError(
+            f"tree nodes do not form trees: node id {names[np.argmin(depths)]} "
+            "is not reached from the root"
+        )
+    return depths
 
 
 class FlatForest:

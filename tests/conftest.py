@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boostcontrib import CartParams, Dataset, GbdtParams, Tree, fit_gbdt
+from boostcontrib.oracle import enumerate_leaf_regions
 
 # Hand-checked four-point fixture. With a depth-2 tree the first split is
 # f0 <= 0.5 (gain 225 vs 25 for f1); the right child splits on f1 <= 0.5.
@@ -76,6 +77,22 @@ def tree_of(nodes, root: int = 0, n_features: int = 1) -> Tree:
         np.array(feature), np.array(threshold, dtype=float), np.array(left), np.array(right),
         np.array(value, dtype=float), np.array(n_samples), root=root, n_features=n_features,
     )
+
+
+def region_index(lower, upper, X) -> np.ndarray:
+    """Per row of X, the index of the one region (lower, upper), as
+    enumerate_leaf_regions gives them, with lower < x <= upper."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    inside = ((lower[:, None] < X) & (X <= upper[:, None])).all(axis=2)
+    assert (inside.sum(axis=0) == 1).all(), "a row is not in exactly one leaf region"
+    return inside.argmax(axis=0)
+
+
+def region_leaf_values(tree: Tree, X) -> np.ndarray:
+    """Per row of X, the value of the leaf whose oracle region holds it: the
+    routing reference that follows no child link."""
+    lower, upper, value = enumerate_leaf_regions(tree)
+    return value[region_index(lower, upper, X)]
 
 
 def json_leaf(node_id, value, n_samples) -> dict:

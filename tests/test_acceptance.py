@@ -29,7 +29,6 @@ from boostcontrib import (
     predict_batch,
     save_model,
     train_test_split,
-    tree_predict,
 )
 from boostcontrib.experiments import (
     CORRELATION_CONFIG,
@@ -47,7 +46,7 @@ from boostcontrib.oracle import (
     naive_contributions,
     sample_probes,
 )
-from conftest import D0_X, D0_Y, build_synthetic
+from conftest import D0_X, D0_Y, build_synthetic, region_leaf_values
 
 SWEEP_SIZE = 200
 MASTER_SEED = 20260817
@@ -114,14 +113,15 @@ def test_criterion_01_local_accuracy(sweep):
 def test_criterion_02_telescoping(sweep):
     paths = 0
     for run in sweep["runs"]:
-        for x in run.x_test:
+        leaf_values = [region_leaf_values(tree, run.x_test) for tree in run.ens.trees]
+        for i, x in enumerate(run.x_test):
             records = decision_contributions(run.ens, x)
             for t, tree in enumerate(run.ens.trees):
                 walked = tree.value[tree.root]
                 for r in records:
                     if r.tree_index == t:
                         walked += r.residue
-                assert abs(walked - tree_predict(tree, x)) <= 1e-12
+                assert abs(walked - leaf_values[t][i]) <= 1e-12
                 paths += 1
     print(
         f"PASS criterion 2: root value + residues reached the leaf value on "

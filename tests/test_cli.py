@@ -19,6 +19,7 @@ from boostcontrib import (
     load_model,
     predict_batch,
 )
+from boostcontrib.experiments import CORRELATION_CONFIG, NOISE_CONFIG, OUTLIER_CONFIG
 from conftest import build_synthetic, json_leaf, json_split
 
 
@@ -252,6 +253,20 @@ class TestUsageErrors:
             ])
         assert excinfo.value.code == 2
         assert "argument --probe-seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "study, config", [("correlation", CORRELATION_CONFIG), ("noise", NOISE_CONFIG), ("outlier", OUTLIER_CONFIG)]
+    )
+    def test_each_study_defaults_to_its_protocol(self, study, config):
+        args = cli.build_parser().parse_args([*TestUsageErrors.COMMANDS[study], "--data", "d.csv", "--target", "y"])
+        assert cli._experiment_config(args) == config
+
+    def test_train_defaults(self):
+        args = cli.build_parser().parse_args([*TestUsageErrors.COMMANDS["train"], "--data", "d.csv", "--target", "y"])
+        hyper = (args.n_estimators, args.max_depth, args.learning_rate, args.min_samples_leaf, args.test_fraction)
+        assert (*hyper, args.seed, args.no_split) == (100, 3, 0.1, 1, 0.1, 0, False)
 
 
 class TestPredict:
@@ -492,6 +507,36 @@ class TestImportance:
         bad.write_text("{")
         assert cli.main(["importance", "--model", str(bad)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("undecodable", ["deep-nesting", "long-integer"])
+    def test_a_file_json_cannot_decode_is_malformed(self, model_json, data_csv, tmp_path, capsys, undecodable):
+        if undecodable == "deep-nesting":  # json's decoder recurses once per array
+            text = "[" * 100_000
+        else:  # Python refuses to parse an integer of more than 4300 digits
+            payload = json.loads(model_json.read_text())
+            payload["trees"][0]["nodes"][0]["n_samples"] = "digits"
+            text = json.dumps(payload).replace('"digits"', "9" * 5000)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ModelFormatError, match="malformed model file"):
+            load_model(bad)
+        for command in (["importance"], ["verify", "--data", str(data_csv), "--target", "y"]):
+            assert cli.main([*command, "--model", str(bad)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {bad}: malformed model file (") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # no numpy warning leaks
+    def test_gains_that_overflow_are_refused(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a"],
+            "trees": NAN_RESIDUAL_MODELS["additive_identity"],
+        }))
+        with pytest.raises(ValueError, match="split gains overflow"):
+            feature_importance(load_model(model))
+        assert cli.main(["importance", "--model", str(model)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: split gains overflow (their total is inf); importance undefined\n"
 
 
 # Two trees whose node counts add up. Tree 1 nests a 1e20 node under its
