@@ -124,11 +124,11 @@ def gbdt_predict(ens: Ensemble, x) -> float:
 
 
 def predict_batch(ens: Ensemble, X) -> np.ndarray:
-    """gbdt_predict for every row of an (n, d) array, in one kernel pass."""
+    """gbdt_predict for every row of an (n, d) array, in one leaf walk of the kernel."""
     X = _check_matrix(ens, X)
     out = np.empty(X.shape[0], dtype=np.float64)
-    for rows, ids in ens.flat.paths(X):
-        out[rows] = ens.f0 + ens.learning_rate * ens.flat.leaf_sum(ids)
+    for rows, leaves in ens.flat.leaves(X):
+        out[rows] = ens.f0 + ens.learning_rate * ens.flat.leaf_sum(leaves)
     return out
 
 

@@ -13,6 +13,7 @@ import csv
 import math
 import sys
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="feature to copy ('auto' picks the most important one)",
     )
-    p.add_argument("--seeds", type=_seed, nargs="+", default=list(DEFAULT_SEEDS))
+    p.add_argument("--seeds", type=_seed, nargs="+", default=DEFAULT_SEEDS)
     p.add_argument("--factor", type=_finite, help="fix the copy's factor instead of drawing it")
     p.add_argument("--offset", type=_finite, help="fix the copy's offset instead of drawing it")
     p.add_argument("--out-dir", required=True)
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--levels",
         type=_finite,
         nargs="+",
-        default=list(DEFAULT_NOISE_LEVELS),
+        default=DEFAULT_NOISE_LEVELS,
         help="noise variances as percent of the feature's variance",
     )
     p.add_argument("--seed", type=_seed, default=0)
@@ -450,15 +451,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--feature",
         help="feature to push past its max (default: first feature)",
     )
-    p.add_argument("--seeds", type=_seed, nargs="+", default=list(DEFAULT_SEEDS))
+    p.add_argument("--seeds", type=_seed, nargs="+", default=DEFAULT_SEEDS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment_outlier)
 
     return parser
 
 
+# Parsing leaves a parser unchanged, and every default in it is immutable
+# (the list-valued ones are tuples), so one parser serves every call.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, ModelFormatError, ValueError, OSError) as exc:

@@ -93,7 +93,7 @@ def _explain_arrays(ens: Ensemble, data) -> tuple[float, np.ndarray, np.ndarray]
     contributions = np.empty(X.shape)
     predictions = np.empty(X.shape[0])
     for rows, ids in flat.paths(X):
-        predictions[rows] = ens.f0 + ens.learning_rate * flat.leaf_sum(ids)
+        predictions[rows] = ens.f0 + ens.learning_rate * flat.leaf_sum(ids[:, -1])
         contributions[rows] = flat.contributions(ids, ens.n_features)
     return bias, contributions, predictions
 

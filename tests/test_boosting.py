@@ -501,7 +501,7 @@ class TestStageUpdate:
             assert residual.tobytes() == (ds.target - running).tobytes()
             flat = FlatForest([tree], model.learning_rate)
             for rows, ids in flat.paths(ds.features):
-                running[rows] = running[rows] + model.learning_rate * flat.leaf_sum(ids)
+                running[rows] = running[rows] + model.learning_rate * flat.leaf_sum(ids[:, -1])
 
     def test_outlier_study_data(self, synthetic_500x8):
         train, _ = train_test_split(synthetic_500x8, OUTLIER_CONFIG.test_fraction, 0)

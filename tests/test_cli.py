@@ -814,6 +814,18 @@ class TestExperimentCommands:
         assert len(rows) == 3  # header + one row per seed
         capsys.readouterr()
 
+    @pytest.mark.parametrize("study", ["correlation", "noise", "outlier"])
+    def test_a_study_run_twice_on_its_defaults_writes_the_same_report(self, study, data_csv, tmp_path, capsys):
+        # main parses every call with one parser, so its defaults are shared.
+        reports = []
+        for run in ("first", "second"):
+            out_dir = tmp_path / run
+            argv = ["experiment", study, "--data", str(data_csv), "--target", "y", "--out-dir", str(out_dir)]
+            assert cli.main(argv) == 0
+            reports.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+        assert len(reports[0]) == 2 and reports[0] == reports[1]
+        capsys.readouterr()
+
     def test_missing_experiment_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["experiment"])

@@ -14,6 +14,7 @@ import inspect
 import json
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,8 +36,9 @@ from boostcontrib import (
     tree_predict,
 )
 from boostcontrib import kernel
+from boostcontrib.contrib import _explain_arrays
 from boostcontrib.oracle import enumerate_leaf_regions, naive_contributions
-from conftest import random_ensemble, region_index, region_leaf_values, tree_of
+from conftest import D0_X, random_ensemble, region_index, region_leaf_values, tree_of
 
 
 def bits(values) -> bytes:
@@ -274,6 +276,86 @@ def test_single_tree_functions_are_batches_of_one(monkeypatch):
     assert decision_path(tree, np.array([0.5])) == [0, 1]
     assert tree_predict(tree, np.array([0.7])) == 1.0
     assert shapes == [(1, 1), (1, 1)]
+
+
+def chain_rows(rng, n_rows: int) -> np.ndarray:
+    """Rows that leave the CHAIN at every depth, from the root to the bottom."""
+    return rng.uniform(-3100, 10, size=(n_rows, 1))
+
+
+@pytest.mark.parametrize("block_node_ids", [kernel.BLOCK_NODE_IDS, 1])
+@pytest.mark.parametrize("case", ["fitted", "loaded", "leaf", "chain"])
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=8, deadline=None)
+def test_the_leaf_walk_ends_where_the_paths_end(case, block_node_ids, seed, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    if case == "chain":
+        ens = Ensemble(0.0, 1.0, [CHAIN], ("x0",))
+    elif case == "leaf":
+        d = int(rng.integers(1, 4))
+        trees = [tree_of([(float(rng.normal()), 3)], n_features=d) for _ in range(int(rng.integers(1, 4)))]
+        ens = Ensemble(float(rng.normal()), 0.5, trees, tuple(f"x{j}" for j in range(d)))
+    else:
+        _, ens = random_ensemble(rng)
+        if case == "loaded":
+            ens = permuted_model(rng, ens, tmp_path_factory.mktemp("permuted"))
+    flat = ens.flat
+    n_trees = len(ens.trees)
+    with mock.patch.object(kernel, "BLOCK_NODE_IDS", block_node_ids):
+        # Three blocks of paths, the last of one row.
+        n_rows = 2 * max(1, block_node_ids // (n_trees * (flat.depth + 1))) + 1
+        X = chain_rows(rng, n_rows) if case == "chain" else rows_with_ties(rng, ens, n_rows)
+        last_step = np.full((n_trees, n_rows), -1)
+        blocks = 0
+        for rows, ids in flat.paths(X):
+            last_step[:, rows] = ids[:, -1]
+            blocks += 1
+        leaf = np.full((n_trees, n_rows), -1)
+        for rows, leaves in flat.leaves(X):
+            leaf[:, rows] = leaves
+        predictions = predict_batch(ens, X)
+        explained = _explain_arrays(ens, X)[2]
+    assert blocks == 3
+    assert (last_step >= 0).all() and np.array_equal(leaf, last_step)
+    assert bits(predictions) == bits(explained)
+
+
+def test_predict_walks_to_the_leaves_only(monkeypatch, d0_two_trees):
+    calls = []
+    paths = kernel.FlatForest.paths
+
+    def spy(self, X):
+        calls.append(X.shape)
+        return paths(self, X)
+
+    monkeypatch.setattr(kernel.FlatForest, "paths", spy)
+    predict_batch(d0_two_trees, D0_X)
+    assert calls == []
+    _explain_arrays(d0_two_trees, D0_X)
+    assert calls == [D0_X.shape]
+
+
+def test_predict_through_a_deep_chain_walks_large_blocks_of_leaves():
+    ens = Ensemble(0.0, 1.0, [CHAIN], ("x0",))
+    X = chain_rows(np.random.default_rng(5), 20_000)
+    ens.flat  # built outside the limit, as a loaded model is before it predicts
+    with time_limit(5):
+        predictions = predict_batch(ens, X)
+    assert bits(predictions[:200]) == bits(region_leaf_values(CHAIN, X[:200]))
+
+
+def test_explain_through_a_deep_chain_stops_at_each_blocks_deepest_leaf():
+    ens = Ensemble(0.0, 1.0, [CHAIN], ("x0",))
+    # Every row leaves the chain within its first six splits, and the paths
+    # of a 3000-deep tree come in blocks of a few rows, so the early stop
+    # spares thousands of blocks nearly all of their levels.
+    X = np.random.default_rng(6).uniform(-5, 10, size=(20_000, 1))
+    ens.flat
+    with time_limit(5):
+        explanations = batch_explain(ens, X)
+    for x, e in zip(X[:20], explanations):
+        bias, contributions = naive_contributions(ens, x)
+        assert bits(e.bias) == bits(bias) and bits(e.contributions["x0"]) == bits(contributions)
 
 
 def test_kernel_imports_nothing_from_the_package_at_run_time():
