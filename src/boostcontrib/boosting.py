@@ -20,7 +20,7 @@ import numpy as np
 
 from .cart import CartParams, Tree, _check_matrix, _check_vector, _grow, _presort
 from .data import DataError, Dataset
-from .kernel import FlatForest, node_depths
+from .kernel import FlatForest
 
 MODEL_FORMAT_VERSION = 1
 
@@ -49,15 +49,16 @@ class GbdtParams:
 class Ensemble:
     """Fitted additive model; immutable by convention once constructed.
 
+    `flat` holds every tree's nodes in the kernel's layout, the one that
+    fit and load build and that traversal, importance and save read.
     `params` is a provenance record for freshly fitted ensembles; models
     restored from disk carry None there (the file format stores only the
-    predictive state). The trees' arrays are concatenated into `flat` on
-    first use and the result is cached, so they must not be changed after that.
+    predictive state).
     """
 
     f0: float
     learning_rate: float
-    trees: list[Tree]
+    flat: FlatForest
     feature_names: tuple[str, ...]
     params: GbdtParams | None = None
 
@@ -66,9 +67,21 @@ class Ensemble:
         return len(self.feature_names)
 
     @cached_property
-    def flat(self) -> FlatForest:
-        """The trees' arrays concatenated for the batch kernel, on first use."""
-        return FlatForest(self.trees, self.learning_rate)
+    def trees(self) -> list[Tree]:
+        """`flat` cut into one Tree per tree, on first use: views of its
+        arrays, but for the child links, which are made local to the tree."""
+        f = self.flat
+        return [
+            Tree(f.feature[a:b], f.threshold[a:b], f.left[a:b] - a, f.right[a:b] - a,
+                 f.value[a:b], f.n_samples[a:b], root - a, self.n_features)
+            for a, b, root in _tree_spans(f)
+        ]
+
+
+def _tree_spans(flat: FlatForest):
+    """Per tree of flat: its first node's id, the next tree's first and its root's."""
+    bounds = np.append(flat.starts, flat.value.size).tolist()
+    return zip(bounds, bounds[1:], flat.roots.tolist())
 
 
 def fit_gbdt(ds: Dataset, params: GbdtParams) -> Ensemble:
@@ -112,9 +125,11 @@ def _fit_group(datasets: list[Dataset], params: GbdtParams, seeds) -> list[Ensem
         # +0.0) does, so the running model keeps the bits that update gave.
         running = running + params.learning_rate * (leaf_value + 0.0)
         stages.append(grown)
+    fits = list(zip(*stages))
+    del stages, grown  # so each fit's trees go once its forest holds their nodes
     return [
-        Ensemble(f, params.learning_rate, list(trees), ds.feature_names, replace(params, seed=seed))
-        for f, trees, ds, seed in zip(f0, zip(*stages), datasets, seeds)
+        Ensemble(f, params.learning_rate, FlatForest.of(fits.pop(0), params.learning_rate), ds.feature_names, replace(params, seed=seed))
+        for f, ds, seed in zip(f0, datasets, seeds)
     ]
 
 
@@ -132,8 +147,8 @@ def predict_batch(ens: Ensemble, X) -> np.ndarray:
     return out
 
 
-def node_split_gain(tree: Tree) -> np.ndarray:
-    """Per node, the SSE reduction of its split; exactly 0.0 at a leaf.
+def node_split_gain(tree: Tree | FlatForest) -> np.ndarray:
+    """Per node of a Tree or FlatForest, the SSE reduction of its split; exactly 0.0 at a leaf.
 
     Uses the between-children identity
     n_l*(v_l - v)^2 + n_r*(v_r - v)^2, which depends only on serialized
@@ -155,11 +170,7 @@ def feature_importance(ens: Ensemble) -> np.ndarray:
     the gains is finite and positive.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing total is refused below
-        gains = np.bincount(
-            np.concatenate([tree.feature for tree in ens.trees]),
-            weights=np.concatenate([node_split_gain(tree) for tree in ens.trees]),
-            minlength=ens.n_features,
-        )
+        gains = np.bincount(ens.flat.feature, weights=node_split_gain(ens.flat), minlength=ens.n_features)
         total = gains.sum()
     if not np.isfinite(total):
         raise ValueError(f"split gains overflow (their total is {total}); importance undefined")
@@ -175,20 +186,21 @@ NODE_KEYS = ("id", "value", "n_samples", "feature", "threshold", "left", "right"
 _NODE_TEXT = "        {\n" + ",\n".join(f'          "{key}": %s' for key in NODE_KEYS) + "\n        }"
 
 
-def _tree_text(tree: Tree) -> str:
-    """The tree as json.dump(payload, fh, indent=2) writes it in a model file.
-    That encoder is pure Python; each column here goes through json's C one."""
-    split = (np.where(tree.is_leaf, None, getattr(tree, key)) for key in NODE_KEYS[3:])
-    columns = (np.arange(tree.value.size), tree.value, tree.n_samples, *split)
+def _tree_text(flat: FlatForest, a: int, b: int, root: int) -> str:
+    """The tree of flat's nodes a to b, rooted at `root`, as json.dump(payload, fh, indent=2)
+    writes it in a model file. That encoder is pure Python; each column here goes through json's C one."""
+    ids, left, right = np.arange(b - a), flat.left[a:b] - a, flat.right[a:b] - a
+    split = (np.where(left == ids, None, column) for column in (flat.feature[a:b], flat.threshold[a:b], left, right))
+    columns = (ids, flat.value[a:b], flat.n_samples[a:b], *split)
     cells = (json.dumps(column.tolist())[1:-1].split(", ") for column in columns)
     nodes = ",\n".join(_NODE_TEXT % node for node in zip(*cells))
-    return f'    {{\n      "root": {tree.root},\n      "nodes": [\n{nodes}\n      ]\n    }}'
+    return f'    {{\n      "root": {root - a},\n      "nodes": [\n{nodes}\n      ]\n    }}'
 
 
 def save_model(ens: Ensemble, path) -> None:
     """Write the versioned JSON model file (full float round-trip precision),
     byte for byte as json.dump(payload, fh, indent=2) would. The text is
-    written a tree at a time, so no more than one tree's text is held."""
+    written a tree at a time from `flat`, so no more than one tree's text is held."""
     names = json.dumps(list(ens.feature_names), indent=2).replace("\n", "\n  ")
     with open(path, "w") as fh:
         fh.write(
@@ -196,7 +208,7 @@ def save_model(ens: Ensemble, path) -> None:
             f'  "f0": {json.dumps(ens.f0)},\n  "learning_rate": {json.dumps(ens.learning_rate)},\n'
             f'  "feature_names": {names},\n  "trees": ['
         )
-        fh.writelines(f"{',' if t else ''}\n{_tree_text(tree)}" for t, tree in enumerate(ens.trees))
+        fh.writelines(f"{',' if a else ''}\n{_tree_text(ens.flat, a, b, root)}" for a, b, root in _tree_spans(ens.flat))
         fh.write("\n  ]\n}\n")
 
 
@@ -205,11 +217,11 @@ def _require(condition: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _trees_from_dicts(raw_trees: list, n_features: int) -> list[Tree]:
-    """The model file's trees. Each tree entry's shape is checked in Python;
-    then each node field is built and checked once, over all trees' nodes,
-    and the arrays are cut into one Tree per entry. Node ids name nodes
-    within their tree, so each tree has its own id lookup."""
+def _trees_from_dicts(raw_trees: list, n_features: int, learning_rate: float) -> FlatForest:
+    """The model file's trees as one FlatForest. Each tree entry's shape is
+    checked in Python; then each node field is built and checked once, over
+    all trees' nodes, into the forest's arrays. Node ids name nodes within
+    their tree, so each tree has its own id lookup, and errors name them."""
     for obj in raw_trees:
         _require(isinstance(obj, dict), "tree entry must be an object")
         _require("root" in obj and "nodes" in obj, "tree entry needs 'root' and 'nodes'")
@@ -261,26 +273,18 @@ def _trees_from_dicts(raw_trees: list, n_features: int) -> list[Tree]:
     left, right = _located(left, owners), _located(right, owners)
     roots = _located([obj["root"] for obj in raw_trees], positions)
 
-    # Leaves keep Tree's convention; the split fields fill the internal nodes.
-    # Child links are made global for the reachability check, then local again.
-    offset = np.repeat(starts[:-1], np.diff(starts))
-    arrays = {
-        "feature": np.zeros(len(raw_nodes), dtype=np.int64),
-        "threshold": np.zeros(len(raw_nodes)),
-        "left": np.arange(len(raw_nodes)),
-        "right": np.arange(len(raw_nodes)),
-        "value": value,
-        "n_samples": n_samples,
-    }
-    arrays["feature"][at] = feature
-    arrays["threshold"][at] = threshold
-    arrays["left"][at] = offset[at] + left
-    arrays["right"][at] = offset[at] + right
+    # Leaves keep Tree's convention; the split fields fill the internal
+    # nodes, their child links made global.
+    n = len(raw_nodes)
+    split_fields = np.zeros(n, dtype=np.int64), np.zeros(n), np.arange(n), np.arange(n)
+    offset = np.repeat(starts[:-1], np.diff(starts))[at]
+    for array, column in zip(split_fields, (feature, threshold, offset + left, offset + right)):
+        array[at] = column
     try:
-        node_depths(arrays["left"], arrays["right"], np.add(starts[:-1], roots), ids)
+        flat = FlatForest(*split_fields, value, n_samples, np.array(starts[:-1]), np.add(starts[:-1], roots), learning_rate, ids)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    left_n, right_n = n_samples[arrays["left"][at]], n_samples[arrays["right"][at]]
+    left_n, right_n = n_samples[flat.left[at]], n_samples[flat.right[at]]
     wrong = np.flatnonzero(n_samples[at] != left_n + right_n)
     if wrong.size:
         i = wrong[0]
@@ -288,12 +292,7 @@ def _trees_from_dicts(raw_trees: list, n_features: int) -> list[Tree]:
             f"node id {ids[at[i]]}: n_samples {n_samples[at[i]]} is not the sum of "
             f"its children's ({left_n[i]} + {right_n[i]})"
         )
-    arrays["left"] -= offset
-    arrays["right"] -= offset
-    return [
-        Tree(**{name: array[a:b] for name, array in arrays.items()}, root=root, n_features=n_features)
-        for a, b, root in zip(starts, starts[1:], roots)
-    ]
+    return flat
 
 
 def _located(raw_ids: list, lookups: list[dict]) -> list[int]:
@@ -359,11 +358,10 @@ def load_model(path) -> Ensemble:
         isinstance(payload["trees"], list) and payload["trees"],
         "trees must be a non-empty list",
     )
-    trees = _trees_from_dicts(payload["trees"], len(names))
     return Ensemble(
         f0=f0,
         learning_rate=learning_rate,
-        trees=trees,
+        flat=_trees_from_dicts(payload["trees"], len(names), learning_rate),
         feature_names=tuple(names),
         params=None,
     )

@@ -124,6 +124,9 @@ def best_split(
     return int(feature[pick]), float(_threshold(low[pick], high[pick])), float(gain[0, i[pick], feature[pick]])
 
 
+# A padded cell, which is invalid, may overflow. A valid one's sums are bounded
+# by (sum of |y| over its left rows)^2 <= n * sum(y * y), which the fit keeps finite.
+@np.errstate(over="ignore", invalid="ignore")
 def _search(Xt, y, slab, counts, total, total_sq, min_samples_leaf, min_gain):
     """best_split over k nodes at once, without the draw.
 
@@ -464,7 +467,8 @@ class _Grower:
         feature, low, high = np.concatenate([*self.cands, _LEAF_CANDIDATE], axis=1).take(chosen, axis=1)
         value, n_samples = np.array(self.value).take(visit), np.array(self.n_samples).take(visit)
         fields = (feature.astype(np.int64), _threshold(low, high), left, right, value, n_samples)
-        return [Tree(*(field[a:b] for field in fields), n_features=self.Xt.shape[0]) for a, b in zip(starts, ends)]
+        # Copies, not views: a view of one fit's tree would keep every fit's nodes alive.
+        return [Tree(*(field[a:b].copy() for field in fields), n_features=self.Xt.shape[0]) for a, b in zip(starts, ends)]
 
 
 def _runs(sizes, d):
@@ -547,7 +551,7 @@ def decision_path(tree: Tree, x) -> list[int]:
     """Node ids from root to the leaf reached by x, in traversal order: a
     batch of one through the kernel, which refuses nodes that are not a tree."""
     x = _check_vector(tree, x)
-    (_rows, ids), = FlatForest([tree], 1.0).paths(x[None])
+    (_rows, ids), = FlatForest.of([tree], 1.0).paths(x[None])
     path = ids[0, :, 0].tolist()
     return path[: path.index(path[-1]) + 1]
 

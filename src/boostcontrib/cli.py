@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 from dataclasses import fields
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .oracle import (
 )
 
 # |prediction - (bias + sum of contributions)| must stay within this,
-# relative to max(1, |prediction|).
+# relative to the size of the terms (see _misses).
 RELATIVE_IDENTITY_TOLERANCE = 1e-9
 
 
@@ -84,18 +84,24 @@ def _write_decision_records(path, model: Ensemble, X: np.ndarray) -> None:
                 fh.write(prefix + prefix.join(edges))
 
 
+def _misses(residual, tolerance: float, *sizes) -> np.ndarray:
+    """Where a residual is not finite or exceeds tolerance * max(1, *sizes), sizes of the terms it
+    was added up from: rounding grows with them, however much they cancel."""
+    return ~(np.isfinite(residual) & (np.abs(residual) <= tolerance * reduce(np.maximum, sizes, 1.0)))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _additivity_violation(bias: float, contributions, predictions) -> str | None:
     """The first sample whose bias + contributions misses its prediction by
-    more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|), or by NaN,
-    or None. Each row is added up feature by feature from 0.0, then added to
-    bias."""
+    more than RELATIVE_IDENTITY_TOLERANCE * max(1, |prediction|, |bias| +
+    sum of |contributions|), or by inf or NaN, or None. Each row is added up
+    feature by feature from 0.0, then added to bias."""
     total = np.zeros(predictions.shape)
     for column in contributions.T:
         total += column
     total = bias + total
-    scale = np.maximum(1.0, np.abs(predictions))
-    off = ~(np.abs(predictions - total) <= RELATIVE_IDENTITY_TOLERANCE * scale)
+    terms = abs(bias) + np.abs(contributions).sum(axis=1)
+    off = _misses(predictions - total, RELATIVE_IDENTITY_TOLERANCE, np.abs(predictions), terms)
     if not off.any():
         return None
     i = int(np.argmax(off))
@@ -183,16 +189,14 @@ def cmd_importance(args) -> int:
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
     """The first sample, then tree, whose root value plus the differences
-    along its path misses its leaf value by more than 1e-12 relative, or by
-    NaN."""
+    along its path misses its leaf value by more than 1e-12 relative to the
+    largest |value| on the path, or by inf or NaN."""
     for rows, ids in model.flat.paths(X):
         values = model.flat.value.take(ids)
-        root, leaf = values[:, 0], values[:, -1]
-        walked = root.copy()
+        walked = values[:, 0].copy()
         for step in range(1, values.shape[1]):
             walked += values[:, step] - values[:, step - 1]  # 0.0 once the row is at its leaf
-        scale = np.maximum(1.0, np.maximum(np.abs(root), np.abs(leaf)))
-        failed = np.argwhere(~(np.abs(walked - leaf) <= 1e-12 * scale).T)
+        failed = np.argwhere(_misses(walked - values[:, -1], 1e-12, np.abs(values).max(axis=1)).T)
         if failed.size:
             return f"sample {rows.start + failed[0, 0]}, tree {failed[0, 1]}"
     return None
@@ -200,20 +204,22 @@ def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _node_mean_violation(model: Ensemble) -> str | None:
-    """The first internal node whose value is not its children's weighted
-    mean, within 1e-9 relative, or whose residual is NaN."""
-    for t, tree in enumerate(model.trees):
-        n, v, left, right = tree.n_samples, tree.value, tree.left, tree.right
-        merged = (n[left] * v[left] + n[right] * v[right]) / n
-        off = ~(np.abs(merged - v) <= 1e-9 * np.maximum(1.0, np.abs(v)))
-        node_ids = np.flatnonzero(off & ~tree.is_leaf)
-        if node_ids.size:
-            i = node_ids[0]
-            return (
-                f"tree {t} node {i}: value {v[i].item()!r} is not the "
-                f"weighted mean of its children ({merged[i].item()!r})"
-            )
-    return None
+    """The first internal node whose value misses its children's weighted
+    mean by more than 1e-9 relative to max(1, |value|, their weighted mean
+    |value|), or by inf or NaN; named by its tree and its id in the tree."""
+    flat = model.flat
+    n, v, left, right = flat.n_samples, flat.value, flat.left, flat.right
+    merged = (n[left] * v[left] + n[right] * v[right]) / n
+    terms = (n[left] * np.abs(v[left]) + n[right] * np.abs(v[right])) / n
+    node_ids = np.flatnonzero(_misses(merged - v, 1e-9, np.abs(v), terms) & (left != np.arange(left.size)))
+    if not node_ids.size:
+        return None
+    i = node_ids[0]
+    t = flat.tree[i]
+    return (
+        f"tree {t} node {i - flat.starts[t]}: value {v[i].item()!r} is not the "
+        f"weighted mean of its children ({merged[i].item()!r})"
+    )
 
 
 def _oracle_disagreement(model: Ensemble, X: np.ndarray, bias: float, contributions) -> str | None:

@@ -1,15 +1,15 @@
-"""The batch traversal kernel over an ensemble's concatenated tree arrays.
+"""The model's one tree layout and the batch traversal kernel over it.
 
-Each :class:`~boostcontrib.cart.Tree` holds its nodes as parallel arrays,
-the layout scikit-learn's ``tree_`` uses. An ensemble's trees are
-concatenated once into arrays indexed by a global node id, and each
-node's two children are laid side by side in one child table, right then
-left, so that one level step for every row in every tree is one gather:
-``child[2 * node + (x <= threshold)]``. A leaf's two children are itself,
-so a row that has reached its leaf stays there. Two walks drive that one
-step: :meth:`FlatForest.paths` keeps the node ids of every level and
-:meth:`FlatForest.leaves` only the current ones. Both stop a block of rows
-once every row rests at its leaf, so a deep, unbalanced tree costs a
+A model is one :class:`FlatForest`: scikit-learn's ``tree_`` layout of
+parallel per-node arrays, holding every tree's nodes by a global id. Fit
+and load build it; a :class:`~boostcontrib.cart.Tree` is a slice of it.
+Each node's two children are laid side by side in one child table, right
+then left, so that one level step for every row in every tree is one
+gather: ``child[2 * node + (x <= threshold)]``. A leaf's two children are
+itself, so a row that has reached its leaf stays there. Two walks drive
+that one step: :meth:`FlatForest.paths` keeps the node ids of every level
+and :meth:`FlatForest.leaves` only the current ones. Both stop a block of
+rows once every row rests at its leaf, so a deep, unbalanced tree costs a
 block its deepest row's levels, not the tree's depth. Everything the
 package reads off a traversal comes from the visited node ids:
 
@@ -36,6 +36,8 @@ that started at +0.0 unchanged.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,43 +86,55 @@ def node_depths(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=None
 
 
 class FlatForest:
-    """The trees' arrays concatenated, child ids made global; read-only.
+    """A model's trees as one set of node arrays, child ids global; read-only.
 
-    Leaves keep :class:`~boostcontrib.cart.Tree`'s convention, feature 0
-    and both children pointing at themselves, so a row that has reached
-    its leaf stays there on later levels. `child` holds node i's right
-    child at 2i and its left child at 2i + 1; `right` and `left` are views
-    of it. Roots are their own parents. `tree` and `node_depth` give each
-    node's tree and its level in it.
+    Tree t's nodes run from id starts[t] to the next tree's start; roots[t]
+    is its root. Leaves keep :class:`~boostcontrib.cart.Tree`'s convention,
+    feature 0 and both children pointing at themselves, so a row that has
+    reached its leaf stays there on later levels. `child` holds node i's
+    right child at 2i and its left child at 2i + 1; `right` and `left` are
+    views of it. `tree` and `node_depth` give each node's tree and its level
+    in it. Raises as node_depths does, naming nodes by `ids`, if they are not trees.
     """
 
-    def __init__(self, trees: list[Tree], learning_rate: float):
-        sizes = [tree.value.size for tree in trees]
-        offsets = np.cumsum([0, *sizes[:-1]])
-        shift = np.repeat(offsets, sizes)
-        self.feature = np.concatenate([tree.feature for tree in trees])
-        self.threshold = np.concatenate([tree.threshold for tree in trees])
-        self.child = np.empty(2 * shift.size, dtype=np.intp)
-        self.child[0::2] = np.concatenate([tree.right for tree in trees]) + shift
-        self.child[1::2] = np.concatenate([tree.left for tree in trees]) + shift
+    def __init__(self, feature, threshold, left, right, value, n_samples, starts, roots, learning_rate: float, ids=None):
+        self.feature, self.threshold, self.value, self.n_samples = feature, threshold, value, n_samples
+        self.starts, self.roots, self.learning_rate = starts, roots, learning_rate
+        self.child = np.empty(2 * left.size, dtype=np.intp)
+        self.child[0::2], self.child[1::2] = right, left
         self.right, self.left = self.child[0::2], self.child[1::2]
-        self.value = np.concatenate([tree.value for tree in trees])
-        self.roots = offsets + [tree.root for tree in trees]
-        self.tree = np.repeat(np.arange(len(trees)), sizes)
-        self.node_depth = node_depths(self.left, self.right, self.roots)
+        self.tree = np.repeat(np.arange(starts.size), np.diff(starts, append=left.size))
+        self.node_depth = node_depths(self.left, self.right, self.roots, ids)
         self.depth = int(self.node_depth.max())
         # No row can rest at a leaf in every tree before each tree holds a
         # leaf, so the level loop looks for rest only after this level.
         leaf_depth = np.where(self.left == np.arange(self.left.size), self.node_depth, self.depth)
-        self._first_rest = int(np.minimum.reduceat(leaf_depth, offsets).max())
+        self._first_rest = int(np.minimum.reduceat(leaf_depth, starts).max())
 
-        internal = np.flatnonzero(self.left != np.arange(self.left.size))
-        self.parent = np.arange(self.left.size)
-        self.residue = np.zeros(self.left.size)
+    @classmethod
+    def of(cls, trees: list[Tree], learning_rate: float) -> FlatForest:
+        """The trees' arrays concatenated, their child ids made global."""
+        *columns, roots = zip(*map(attrgetter("feature", "threshold", "left", "right", "value", "n_samples", "root"), trees))
+        feature, threshold, left, right, value, n_samples = map(np.concatenate, columns)
+        starts = np.cumsum([0, *map(len, columns[4][:-1])])
+        shift = np.repeat(starts, np.diff(starts, append=value.size))
+        return cls(feature, threshold, left + shift, right + shift, value, n_samples, starts, starts + roots, learning_rate)
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        """Per node, its parent's id; a root is its own parent."""
+        parent = np.arange(self.left.size)
+        internal = np.flatnonzero(self.left != parent)
+        parent[self.left[internal]] = parent[self.right[internal]] = internal
+        return parent
+
+    @cached_property
+    def residue(self) -> np.ndarray:
+        """Per node, learning_rate * (its value - its parent's); 0.0 at a root."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residue is verify's to report
-            for child in (self.left[internal], self.right[internal]):
-                self.parent[child] = internal
-                self.residue[child] = learning_rate * (self.value[child] - self.value[internal])
+            residue = self.learning_rate * (self.value - self.value.take(self.parent))
+        residue[self.roots] = 0.0
+        return residue
 
     def _levels(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """The (trees, rows) node ids that the rows of x occupy, level by

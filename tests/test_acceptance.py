@@ -40,6 +40,7 @@ from boostcontrib.experiments import (
     run_outlier_experiment,
     write_report,
 )
+from boostcontrib.kernel import FlatForest
 from boostcontrib.oracle import (
     check_partition,
     enumerate_leaf_regions,
@@ -300,7 +301,7 @@ def test_criterion_09_training_mse_non_increasing(sweep):
         last = float(np.mean((y - running) ** 2))
         for tree in run.ens.trees:
             # Each row's leaf value as 0.0 + 1.0 * leaf, all rows in one call.
-            stage = predict_batch(Ensemble(0.0, 1.0, [tree], run.ens.feature_names), X)
+            stage = predict_batch(Ensemble(0.0, 1.0, FlatForest.of([tree], 1.0), run.ens.feature_names), X)
             running = running + run.ens.learning_rate * stage
             mse = float(np.mean((y - running) ** 2))
             assert mse <= last + 1e-9 * max(1.0, last), (

@@ -316,7 +316,7 @@ class TestPersistence:
 
     def test_text_keeps_negative_zero(self, tmp_path):
         tree = tree_of([(-0.0, 3, 0, -0.0, 2, 1), (1e22, 2), (-0.0, 1)])
-        ens = Ensemble(-0.0, 1.0, [tree], ("\u00e9",))
+        ens = Ensemble(-0.0, 1.0, FlatForest.of([tree], 1.0), ("\u00e9",))
         path = tmp_path / "m.json"
         save_model(ens, path)
         text = path.read_text()
@@ -499,7 +499,7 @@ class TestStageUpdate:
         running = np.full(ds.n_samples, model.f0)
         for residual, tree in zip(received, model.trees):
             assert residual.tobytes() == (ds.target - running).tobytes()
-            flat = FlatForest([tree], model.learning_rate)
+            flat = FlatForest.of([tree], model.learning_rate)
             for rows, ids in flat.paths(ds.features):
                 running[rows] = running[rows] + model.learning_rate * flat.leaf_sum(ids[:, -1])
 

@@ -300,6 +300,23 @@ class TestLevelwiseGrowth:
             fit_cart(X, y, CartParams(max_depth=8), rng_of(0))
         assert any(padded) == (pad_cells > 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_padding_a_node_of_large_targets_does_not_overflow(self):
+        # A 2-row node of ±1e153 padded to the width of a 40-row node: its
+        # padded sums reach 38e153, whose square overflows, though the
+        # fit's bound on every valid sum, n * sum(y * y) = 8.4e307, is finite.
+        y = np.concatenate([[1e153, -1e153], np.arange(40.0)])
+        assert np.isfinite(y.size * (y * y).sum())
+        Xt = np.arange(42.0)[None]
+        nodes = [np.arange(2), np.arange(2, 42)]
+        padded = np.array([[np.minimum(np.arange(40), 1), nodes[1]]])
+        sums = [(np.array([y[r].sum() for r in nodes[:k]]), np.array([(y[r] * y[r]).sum() for r in nodes[:k]])) for k in (2, 1)]
+        node, *found, gain = cart._search(Xt, y, padded, np.array([2.0, 40.0]), *sums[0], 1, 0.0)
+        *alone, alone_gain = cart._search(Xt, y, padded[:, :1, :2], np.array([2.0]), *sums[1], 1, 0.0)
+        first = node == 0
+        assert [a.compress(first).tolist() for a in (node, *found)] == [a.tolist() for a in alone]
+        assert gain[0, 0].tobytes() == alone_gain[0, 0].tobytes()
+
     def test_default_outlier_fit_makes_few_searches(self):
         # One search per level and size run, not one per node (2,240 before).
         from boostcontrib import Dataset, fit_gbdt, make_outlier, train_test_split

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boostcontrib import (
+    Ensemble,
     ModelFormatError,
     batch_explain,
     cli,
@@ -20,7 +21,8 @@ from boostcontrib import (
     predict_batch,
 )
 from boostcontrib.experiments import CORRELATION_CONFIG, NOISE_CONFIG, OUTLIER_CONFIG
-from conftest import build_synthetic, json_leaf, json_split
+from boostcontrib.kernel import FlatForest
+from conftest import build_synthetic, json_leaf, json_split, tree_of
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +426,18 @@ class TestExplain:
         detail = cli._additivity_violation(0.5, contributions, np.array([3.0]))
         assert detail == f"sample 0: prediction 3.0 vs decomposition {0.5 + sequential!r}"
 
+    def test_cancelling_terms_hold_the_identity(self, tmp_path, capsys):
+        # bias 1e27 plus the contribution 1.0 - 1e27 adds up to 0.0, where the
+        # prediction is 1.0: a miss of 1 on terms of 1e27 is rounding.
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model.write_text(json.dumps({
+            "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a"],
+            "trees": [{"root": 0, "nodes": [json_split(0, 1e27, 2, 0, 0.5, 1, 2), json_leaf(1, 1.0, 1), json_leaf(2, -1.0, 1)]}],
+        }))
+        data.write_text("a,y\n0.0,1.0\n")
+        code = cli.main(["explain", "--model", str(model), "--data", str(data), "--target", "y", "--check"])
+        assert (code, *capsys.readouterr()) == (0, "sample_index,bias,a,prediction\n0,1e+27,-1e+27,1.0\n", "additivity holds for all 1 samples\n")
+
     def test_missing_feature_column_is_a_data_error(self, model_json, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,y\n1.0,2.0\n")
@@ -539,17 +553,18 @@ class TestImportance:
         assert out == "" and err == "error: split gains overflow (their total is inf); importance undefined\n"
 
 
-# Two trees whose node counts add up. Tree 1 nests a 1e20 node under its
-# root, listed third, so rows with a > 0.5 lose their leaf value to
-# cancellation when the residues are added up: the identity, telescoping
-# and node means fail there, while the oracle recount, which adds the same
-# residues in the same order, and the leaf regions still agree.
-CANCELLING_MODEL = {
+# Two trees whose node counts add up. Tree 1 nests a 1.7e308 node under its
+# root, listed third, and gives it a -1.7e308 leaf, so row 2's last residue
+# overflows to -inf: the identity, telescoping and node means fail there,
+# while the oracle recount, which adds the same residues in the same order,
+# and the leaf regions still agree. Cancellation alone, which a 1e20 node
+# showed here, is rounding within the size of the terms and passes.
+OVERFLOWING_MODEL = {
     "format_version": 1, "f0": 0.5, "learning_rate": 0.5, "feature_names": ["a", "b"],
     "trees": [
         {"root": 0, "nodes": [json_split(0, 0.5, 4, 1, 0.5, 1, 2), json_leaf(1, 0.0, 2), json_leaf(2, 1.0, 2)]},
-        {"root": 0, "nodes": [json_leaf(1, 0.0, 2), json_leaf(3, 1.0, 1), json_split(0, 0.0, 4, 0, 0.5, 1, 2),
-                              json_split(2, 1e20, 2, 1, 0.5, 3, 4), json_leaf(4, 3.0, 1)]},
+        {"root": 0, "nodes": [json_leaf(1, 0.0, 2), json_leaf(3, -1.7e308, 1), json_split(0, 0.0, 4, 0, 0.5, 1, 2),
+                              json_split(2, 1.7e308, 2, 1, 0.5, 3, 4), json_leaf(4, 3.0, 1)]},
     ],
 }
 
@@ -597,7 +612,7 @@ class TestVerify:
         # failing row, row 2, is found in the third block.
         monkeypatch.setattr(kernel, "BLOCK_NODE_IDS", block_node_ids)
         model, data = tmp_path / "model.json", tmp_path / "data.csv"
-        model.write_text(json.dumps(CANCELLING_MODEL))
+        model.write_text(json.dumps(OVERFLOWING_MODEL))
         data.write_text("a,b,y\n0.0,0.0,0.0\n0.25,1.0,1.0\n1.0,0.0,2.0\n2.0,1.0,3.0\n")
         code = cli.main([
             "verify", "--model", str(model), "--data", str(data), "--target", "y",
@@ -605,10 +620,10 @@ class TestVerify:
         ])
         assert (code, *capsys.readouterr()) == (
             4,
-            "additive_identity: FAIL — sample 2: prediction 1.0 vs decomposition 0.75\n"
+            "additive_identity: FAIL — sample 2: prediction -8.5e+307 vs decomposition -inf\n"
             "telescoping: FAIL — sample 2, tree 1\n"
             "node_means: FAIL — tree 1 node 2: value 0.0 is not the weighted mean "
-            "of its children (5e+19)\n"
+            "of its children (inf)\n"
             "oracle_equivalence: ok\n"
             "leaf_partition: ok\n",
             "verification failed: additive_identity\n",
@@ -631,6 +646,40 @@ class TestVerify:
             code = cli.main(["explain", "--model", str(model), "--data", str(data), "--target", "y", "--check"])
             assert code == 4
             assert capsys.readouterr().err == "additivity violated at sample 0: prediction inf vs decomposition inf\n"
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8, 1e9, 1e10])
+    def test_fitted_models_of_large_targets_verify(self, scale, tmp_path, capsys):
+        # A residual tree's root holds a mean near 0.0 while its children
+        # hold about ±scale, so the node mean's rounding is the children's.
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        for seed in range(10):
+            ds = build_synthetic(seed=seed)
+            with open(data, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow([*ds.feature_names, "y"])
+                writer.writerows([*map(repr, x), repr(y)] for x, y in zip(ds.features.tolist(), (ds.target * scale).tolist()))
+            assert cli.main(["train", "--data", str(data), "--target", "y", "--model-out", str(model)]) == 0
+            code = cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y", "--probes", "50"])
+            assert (seed, code) == (seed, 0), capsys.readouterr().out
+
+    def test_each_check_fails_a_mutant_of_ordinary_magnitude(self):
+        # Terms of about 1 and a miss of 1e-6: far beyond rounding, and within
+        # each check's old bound as well as its new one.
+        tree = tree_of([(1.0 + 1e-6, 2, 0, 0.5, 1, 2), (0.0, 1), (2.0, 1)])
+        model = Ensemble(0.0, 1.0, FlatForest.of([tree], 1.0), ("a",))
+        assert cli._node_mean_violation(model) == (
+            "tree 0 node 0: value 1.000001 is not the weighted mean of its children (1.0)"
+        )
+        assert cli._additivity_violation(0.5, np.array([[0.25, 0.25]]), np.array([1.000001])) == (
+            "sample 0: prediction 1.000001 vs decomposition 1.0"
+        )
+        # A path telescopes to its leaf but for rounding, so the mutant is a
+        # model that keeps its values in single precision: 0.3 -> 1.7 -> 0.2
+        # walks to 0.20000005.
+        tree = tree_of([(0.3, 3, 0, 0.5, 1, 4), (1.7, 2, 0, 0.25, 2, 3), (0.2, 1), (0.0, 1), (0.0, 1)])
+        model = Ensemble(0.0, 1.0, FlatForest.of([tree], 1.0), ("a",))
+        model.flat.value = model.flat.value.astype(np.float32)
+        assert cli._telescoping_violation(model, np.array([[0.0]])) == "sample 0, tree 0"
 
     def test_a_chain_deeper_than_the_recursion_limit_verifies(self, tmp_path, capsys):
         # Internal node k (k < 3000) tests a <= -k; its left child is node

@@ -14,6 +14,7 @@ import inspect
 import json
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_row_blocks_do_not_change_results(monkeypatch):
 
 def test_contributions_are_floats_when_no_row_takes_an_edge():
     # np.bincount over no edge at all returns int64.
-    ens = Ensemble(0.5, 0.1, [tree_of([(1.0, 3)]), tree_of([(2.0, 3)])], ("a",))
+    ens = Ensemble(0.5, 0.1, kernel.FlatForest.of([tree_of([(1.0, 3)]), tree_of([(2.0, 3)])], 0.1), ("a",))
     (_rows, ids), = ens.flat.paths(np.zeros((2, 1)))
     contributions = ens.flat.contributions(ids, 1)
     assert contributions.dtype == np.float64 and contributions.tolist() == [[0.0], [0.0]]
@@ -152,7 +153,7 @@ def test_compile_rejects_a_cycle():
     # Node 1's right child points back at the root.
     tree = tree_of([(0.0, 3, 0, 0.5, 1, 2), (1.0, 2, 0, 0.2, 2, 0), (2.0, 1)])
     with pytest.raises(ValueError, match="do not form trees"):
-        kernel.FlatForest([tree], 0.1)
+        kernel.FlatForest.of([tree], 0.1)
 
 
 def chain(depth: int):
@@ -228,6 +229,66 @@ def test_single_tree_routing_matches_the_oracle_regions(case, seed, tmp_path_fac
         assert_routes_as_regions(tree, X)
 
 
+FOREST_ARRAYS = (
+    "feature", "threshold", "child", "value", "n_samples", "starts", "roots", "tree", "node_depth", "parent", "residue",
+)
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples")
+
+
+def same_array(a, b) -> bool:
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("case", ["fitted", "loaded", "leaf", "chain"])
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=8, deadline=None)
+def test_the_model_is_stored_in_one_layout(case, seed, tmp_path_factory):
+    # Fit, load and a tree list concatenated all give the same forest; the
+    # trees cut from a loaded forest are the fitted ones; a loaded forest
+    # saves to the bytes it was loaded from.
+    rng = np.random.default_rng(seed)
+    if case == "chain":
+        # Internal node k holds the 3001 - k leaves below it, as load requires.
+        counts = np.concatenate([np.arange(3001, 1, -1), np.ones(3001, dtype=np.int64)])
+        ens = Ensemble(0.0, 1.0, kernel.FlatForest.of([replace(CHAIN, n_samples=counts)], 1.0), ("x0",))
+    elif case == "leaf":
+        d = int(rng.integers(1, 4))
+        trees = [tree_of([(float(rng.normal()), 3)], n_features=d) for _ in range(int(rng.integers(1, 4)))]
+        ens = Ensemble(float(rng.normal()), 0.5, kernel.FlatForest.of(trees, 0.5), tuple(f"x{j}" for j in range(d)))
+    else:
+        _, ens = random_ensemble(rng)
+        if case == "loaded":
+            ens = permuted_model(rng, ens, tmp_path_factory.mktemp("permuted"))
+    path = tmp_path_factory.mktemp("layout") / "model.json"
+    save_model(ens, path)
+    loaded = load_model(path)
+    for model in (ens, loaded):
+        rebuilt = kernel.FlatForest.of(model.trees, model.learning_rate)
+        for name in FOREST_ARRAYS:
+            assert same_array(getattr(rebuilt, name), getattr(model.flat, name)), name
+        assert (rebuilt.depth, rebuilt.learning_rate) == (model.flat.depth, model.flat.learning_rate)
+    assert len(loaded.trees) == len(ens.trees)
+    for fitted, back in zip(ens.trees, loaded.trees):
+        assert fitted.root == back.root
+        assert all(same_array(getattr(fitted, name), getattr(back, name)) for name in TREE_ARRAYS)
+    again = path.with_name("again.json")
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_checks_the_nodes_once_and_builds_no_tree(monkeypatch, tmp_path, d0_two_trees):
+    path = tmp_path / "model.json"
+    save_model(d0_two_trees, path)
+    checks, trees = [], []
+    node_depths, tree_init = kernel.node_depths, cart.Tree.__init__
+    monkeypatch.setattr(kernel, "node_depths", lambda *args: checks.append(args) or node_depths(*args))
+    monkeypatch.setattr(cart.Tree, "__init__", lambda self, *args, **kw: trees.append(args) or tree_init(self, *args, **kw))
+    model = load_model(path)
+    predict_batch(model, D0_X)
+    _explain_arrays(model, D0_X)
+    assert (len(checks), trees) == (1, [])
+
+
 @contextmanager
 def time_limit(seconds: int):
     """Raise TimeoutError in the block once it has run `seconds`."""
@@ -290,11 +351,11 @@ def chain_rows(rng, n_rows: int) -> np.ndarray:
 def test_the_leaf_walk_ends_where_the_paths_end(case, block_node_ids, seed, tmp_path_factory):
     rng = np.random.default_rng(seed)
     if case == "chain":
-        ens = Ensemble(0.0, 1.0, [CHAIN], ("x0",))
+        ens = Ensemble(0.0, 1.0, kernel.FlatForest.of([CHAIN], 1.0), ("x0",))
     elif case == "leaf":
         d = int(rng.integers(1, 4))
         trees = [tree_of([(float(rng.normal()), 3)], n_features=d) for _ in range(int(rng.integers(1, 4)))]
-        ens = Ensemble(float(rng.normal()), 0.5, trees, tuple(f"x{j}" for j in range(d)))
+        ens = Ensemble(float(rng.normal()), 0.5, kernel.FlatForest.of(trees, 0.5), tuple(f"x{j}" for j in range(d)))
     else:
         _, ens = random_ensemble(rng)
         if case == "loaded":
@@ -336,7 +397,7 @@ def test_predict_walks_to_the_leaves_only(monkeypatch, d0_two_trees):
 
 
 def test_predict_through_a_deep_chain_walks_large_blocks_of_leaves():
-    ens = Ensemble(0.0, 1.0, [CHAIN], ("x0",))
+    ens = Ensemble(0.0, 1.0, kernel.FlatForest.of([CHAIN], 1.0), ("x0",))
     X = chain_rows(np.random.default_rng(5), 20_000)
     ens.flat  # built outside the limit, as a loaded model is before it predicts
     with time_limit(5):
@@ -345,7 +406,7 @@ def test_predict_through_a_deep_chain_walks_large_blocks_of_leaves():
 
 
 def test_explain_through_a_deep_chain_stops_at_each_blocks_deepest_leaf():
-    ens = Ensemble(0.0, 1.0, [CHAIN], ("x0",))
+    ens = Ensemble(0.0, 1.0, kernel.FlatForest.of([CHAIN], 1.0), ("x0",))
     # Every row leaves the chain within its first six splits, and the paths
     # of a 3000-deep tree come in blocks of a few rows, so the early stop
     # spares thousands of blocks nearly all of their levels.

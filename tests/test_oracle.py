@@ -12,6 +12,7 @@ from boostcontrib import (
     CartParams, Dataset, Ensemble, GbdtParams, batch_explain, feature_contributions, fit_gbdt, oracle,
     predict_batch,
 )
+from boostcontrib.kernel import FlatForest
 from boostcontrib.oracle import (
     check_partition,
     count_containing_regions,
@@ -79,7 +80,7 @@ class TestNaiveContributions:
                 (root, 3, 0, 0.5, 1, 4), (middle, 2, 0, 0.25, 2, 3), (leaf, 1), (0.0, 1), (0.0, 1),
             ])
 
-        ens = Ensemble(0.0, 1.0, [chain(-1.0, 0.0, 1e-17), chain(1.0, 0.0, 0.0)], ("a",))
+        ens = Ensemble(0.0, 1.0, FlatForest.of([chain(-1.0, 0.0, 1e-17), chain(1.0, 0.0, 0.0)], 1.0), ("a",))
         assert naive_contributions(ens, np.array([0.0]))[1].tolist() == [0.0]
         assert feature_contributions(ens, np.array([0.0])).contributions == {"a": 0.0}
 
