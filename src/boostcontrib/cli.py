@@ -204,9 +204,8 @@ def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _node_mean_violation(model: Ensemble) -> str | None:
-    """The first internal node whose value misses its children's weighted
-    mean by more than 1e-9 relative to max(1, |value|, their weighted mean
-    |value|), or by inf or NaN; named by its tree and its id in the tree."""
+    """The first internal node, by tree and id in it, whose value misses its children's weighted mean
+    by more than 1e-9 * max(1, |value|, their weighted mean |value|), or by inf or NaN."""
     flat = model.flat
     n, v, left, right = flat.n_samples, flat.value, flat.left, flat.right
     merged = (n[left] * v[left] + n[right] * v[right]) / n
@@ -214,8 +213,7 @@ def _node_mean_violation(model: Ensemble) -> str | None:
     node_ids = np.flatnonzero(_misses(merged - v, 1e-9, np.abs(v), terms) & (left != np.arange(left.size)))
     if not node_ids.size:
         return None
-    i = node_ids[0]
-    t = flat.tree[i]
+    i, t = node_ids[0], flat.tree[node_ids[0]]
     return (
         f"tree {t} node {i - flat.starts[t]}: value {v[i].item()!r} is not the "
         f"weighted mean of its children ({merged[i].item()!r})"

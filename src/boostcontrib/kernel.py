@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,13 +87,12 @@ def node_depths(left: np.ndarray, right: np.ndarray, roots: np.ndarray, ids=None
 class FlatForest:
     """A model's trees as one set of node arrays, child ids global; read-only.
 
-    Tree t's nodes run from id starts[t] to the next tree's start; roots[t]
-    is its root. Leaves keep :class:`~boostcontrib.cart.Tree`'s convention,
-    feature 0 and both children pointing at themselves, so a row that has
-    reached its leaf stays there on later levels. `child` holds node i's
-    right child at 2i and its left child at 2i + 1; `right` and `left` are
-    views of it. `tree` and `node_depth` give each node's tree and its level
-    in it. Raises as node_depths does, naming nodes by `ids`, if they are not trees.
+    Tree t's nodes run from id starts[t] to the next tree's start, rooted at
+    roots[t]. Leaves keep :class:`~boostcontrib.cart.Tree`'s convention, so a
+    row that has reached its leaf stays there. `child` holds node i's right
+    child at 2i and its left child at 2i + 1; `right` and `left` are views of
+    it. `tree` and `node_depth` give each node's tree and its level in it.
+    Raises as node_depths does, naming nodes by `ids`, unless they are trees.
     """
 
     def __init__(self, feature, threshold, left, right, value, n_samples, starts, roots, learning_rate: float, ids=None):
@@ -114,7 +112,7 @@ class FlatForest:
     @classmethod
     def of(cls, trees: list[Tree], learning_rate: float) -> FlatForest:
         """The trees' arrays concatenated, their child ids made global."""
-        *columns, roots = zip(*map(attrgetter("feature", "threshold", "left", "right", "value", "n_samples", "root"), trees))
+        *columns, roots = zip(*((t.feature, t.threshold, t.left, t.right, t.value, t.n_samples, t.root) for t in trees))
         feature, threshold, left, right, value, n_samples = map(np.concatenate, columns)
         starts = np.cumsum([0, *map(len, columns[4][:-1])])
         shift = np.repeat(starts, np.diff(starts, append=value.size))
