@@ -50,10 +50,11 @@ class Ensemble:
     """Fitted additive model; immutable by convention once constructed.
 
     `flat` holds every tree's nodes in the kernel's layout, the one that
-    fit and load build and that traversal, importance and save read.
-    `params` is a provenance record for freshly fitted ensembles; models
-    restored from disk carry None there (the file format stores only the
-    predictive state).
+    fit and load build and that traversal, importance and save read; its
+    residues are scaled by its own learning rate, so the two rates must be
+    equal. `params` is a provenance record for freshly fitted ensembles;
+    models restored from disk carry None there (the file format stores only
+    the predictive state).
     """
 
     f0: float
@@ -61,6 +62,12 @@ class Ensemble:
     flat: FlatForest
     feature_names: tuple[str, ...]
     params: GbdtParams | None = None
+
+    def __post_init__(self):
+        if self.learning_rate != self.flat.learning_rate:
+            raise ValueError(
+                f"learning_rate {self.learning_rate!r} differs from the forest's {self.flat.learning_rate!r}"
+            )
 
     @property
     def n_features(self) -> int:
@@ -217,11 +224,12 @@ def _require(condition: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _trees_from_dicts(raw_trees: list, n_features: int, learning_rate: float) -> FlatForest:
+def _trees_from_dicts(raw_trees: list, n_features: int, f0: float, learning_rate: float) -> FlatForest:
     """The model file's trees as one FlatForest. Each tree entry's shape is
     checked in Python; then each node field is built and checked once, over
     all trees' nodes, into the forest's arrays. Node ids name nodes within
-    their tree, so each tree has its own id lookup, and errors name them."""
+    their tree, so each tree has its own id lookup, and errors name them.
+    Values whose predictions or scaled residues could overflow are refused."""
     for obj in raw_trees:
         _require(isinstance(obj, dict), "tree entry must be an object")
         _require("root" in obj and "nodes" in obj, "tree entry needs 'root' and 'nodes'")
@@ -292,6 +300,18 @@ def _trees_from_dicts(raw_trees: list, n_features: int, learning_rate: float) ->
             f"node id {ids[at[i]]}: n_samples {n_samples[at[i]]} is not the sum of "
             f"its children's ({left_n[i]} + {right_n[i]})"
         )
+    # A prediction is f0 plus the learning rate times one leaf value per
+    # tree, so |f0| + learning_rate * (sum of each tree's largest |value|)
+    # bounds it and every partial sum that makes it.
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        bound = abs(f0) + learning_rate * np.maximum.reduceat(np.abs(value), starts[:-1]).sum()
+        overflows = ~np.isfinite(np.append(flat.residue, bound))
+    if overflows.any():
+        i = np.argmax(overflows)
+        raise ModelFormatError(
+            f"node id {ids[i]}: scaled residue learning_rate * (value - parent's value) overflows" if i < n
+            else "predictions overflow: |f0| + learning_rate * (sum of each tree's largest |value|) is not finite"
+        )
     return flat
 
 
@@ -361,7 +381,7 @@ def load_model(path) -> Ensemble:
     return Ensemble(
         f0=f0,
         learning_rate=learning_rate,
-        flat=_trees_from_dicts(payload["trees"], len(names), learning_rate),
+        flat=_trees_from_dicts(payload["trees"], len(names), f0, learning_rate),
         feature_names=tuple(names),
         params=None,
     )

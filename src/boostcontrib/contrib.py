@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -90,21 +91,15 @@ def _explain_arrays(ens: Ensemble, data) -> tuple[float, np.ndarray, np.ndarray]
     bias = ens.f0
     for root_value in flat.value[flat.roots].tolist():
         bias += ens.learning_rate * root_value
-    contributions = np.empty(X.shape)
-    predictions = np.empty(X.shape[0])
-    for rows, ids in flat.paths(X):
-        predictions[rows] = ens.f0 + ens.learning_rate * flat.leaf_sum(ids[:, -1])
-        contributions[rows] = flat.contributions(ids, ens.n_features)
-    return bias, contributions, predictions
+    contributions, leaf_sums = flat._explain(X)
+    return bias, contributions, ens.f0 + ens.learning_rate * leaf_sums
 
 
 def batch_explain(ens: Ensemble, data) -> list[Explanation]:
     """feature_contributions for every row of a Dataset or (n, d) array."""
     bias, contributions, predictions = _explain_arrays(ens, data)
-    return [
-        Explanation(bias=bias, contributions=dict(zip(ens.feature_names, row)), prediction=p)
-        for row, p in zip(contributions.tolist(), predictions.tolist())
-    ]
+    rows = map(dict, map(zip, repeat(ens.feature_names), contributions.tolist()))
+    return list(map(Explanation, repeat(bias), rows, predictions.tolist()))
 
 
 def feature_contributions(ens: Ensemble, x) -> Explanation:

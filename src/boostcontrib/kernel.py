@@ -134,30 +134,45 @@ class FlatForest:
         residue[self.roots] = 0.0
         return residue
 
-    def _levels(self, x: np.ndarray) -> Iterator[np.ndarray]:
+    @cached_property
+    def slot_residue(self) -> np.ndarray:
+        """Per child-table slot s, residue[child[s]]: what a step through s
+        adds to the tested feature's contribution; +0.0 at a leaf's slots."""
+        weight = self.residue.take(self.child)
+        weight.reshape(-1, 2)[self.left == np.arange(self.left.size)] = 0.0
+        return weight
+
+    def _levels(self, x: np.ndarray, steps: list | None = None) -> Iterator[np.ndarray]:
         """The (trees, rows) node ids that the rows of x occupy, level by
         level: the roots first, then one step at a time until no row moves,
-        which is when every row rests at its leaf."""
+        which is when every row rests at its leaf. If `steps` is a list, each
+        step appends to it, as (trees, rows) arrays, the index into x.ravel()
+        of the cell each row tested and :attr:`slot_residue` at the slot it
+        took: the contribution bins and weights of its edges."""
         n, d = x.shape
-        cells = x.ravel()
+        values = x.ravel()
         row_start = np.arange(n) * d
         nodes = np.repeat(self.roots[:, None], n, axis=1)
         yield nodes
         for step in range(1, self.depth + 1):
-            go_left = cells.take(self.feature.take(nodes) + row_start) <= self.threshold.take(nodes)
-            moved = self.child.take(2 * nodes + go_left)
+            cells = self.feature.take(nodes) + row_start
+            slots = 2 * nodes + (values.take(cells) <= self.threshold.take(nodes))
+            moved = self.child.take(slots)
             if step > self._first_rest and (moved == nodes).all():
                 return
+            if steps is not None:
+                steps.append((cells, self.slot_residue.take(slots)))
+            del cells, slots  # unless kept in steps, gone before the next step's
             nodes = moved
             yield nodes
 
-    def _walk(self, X: np.ndarray, block: int) -> Iterator[tuple[slice, Iterator[np.ndarray]]]:
+    def _walk(self, X: np.ndarray, block: int, steps: list | None = None) -> Iterator[tuple[slice, Iterator[np.ndarray]]]:
         """(rows, levels) per block of max(1, block) rows of X, levels being
-        :meth:`_levels` of those rows."""
+        :meth:`_levels` of those rows, given `steps`."""
         block = max(1, block)
         for start in range(0, X.shape[0], block):
             rows = slice(start, min(start + block, X.shape[0]))
-            yield rows, self._levels(X[rows])
+            yield rows, self._levels(X[rows], steps)
 
     def paths(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Route every row of X through every tree, one level at a time.
@@ -187,6 +202,22 @@ class FlatForest:
             for nodes in levels:
                 pass
             yield rows, nodes
+
+    def _explain(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of X, its (n, d) contributions and its leaf sum, from one
+        walk that keeps each step's contribution bins and weights, not its
+        nodes. A block holds at most BLOCK_NODE_IDS of each."""
+        n, d = X.shape
+        contributions, leaf_sums, steps = np.zeros((n, d)), np.empty(n), []
+        for rows, levels in self._walk(X, BLOCK_NODE_IDS // (self.roots.shape[0] * max(1, self.depth)), steps):
+            steps.clear()
+            for nodes in levels:
+                pass
+            if steps:  # none when every tree is a leaf
+                cells_and_weights = (np.concatenate(arrays, axis=1).ravel() for arrays in zip(*steps))
+                contributions[rows] = np.bincount(*cells_and_weights, nodes.shape[1] * d).reshape(-1, d)
+            leaf_sums[rows] = self.leaf_sum(nodes)
+        return contributions, leaf_sums
 
     @staticmethod
     def edges(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,14 +258,3 @@ class FlatForest:
             weights=self.value.take(leaves).ravel(),
             minlength=n,
         )
-
-    def contributions(self, ids: np.ndarray, n_features: int) -> np.ndarray:
-        """(n, n_features) scaled residues summed tree-major, path-minor."""
-        n = ids.shape[2]
-        parent, child = ids[:, :-1], ids[:, 1:]
-        weights = np.where(parent == child, 0.0, self.residue.take(child))
-        bins = self.feature.take(parent) + np.arange(n) * n_features
-        # With no edge at all (every tree a leaf) bincount would return int64.
-        return np.bincount(
-            bins.ravel(), weights=weights.ravel(), minlength=n * n_features
-        ).reshape(n, n_features).astype(np.float64, copy=False)

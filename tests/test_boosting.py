@@ -199,6 +199,13 @@ class TestPredict:
 
 
 class TestParams:
+    def test_an_ensemble_refuses_a_forest_of_another_learning_rate(self):
+        # The forest's residues are scaled by its own rate: with 0.5 beside
+        # a forest of 1.0, the row 0.0 would predict -0.5 and explain -1.0.
+        tree = tree_of([(0.0, 2, 0, 0.5, 1, 2), (-1.0, 1), (1.0, 1)])
+        with pytest.raises(ValueError, match="learning_rate 0.5 differs from the forest's 1.0"):
+            Ensemble(0.0, 0.5, FlatForest.of([tree], 1.0), ("a",))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_estimators"):
             GbdtParams(n_estimators=0)

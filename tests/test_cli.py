@@ -20,6 +20,7 @@ from boostcontrib import (
     load_model,
     predict_batch,
 )
+from boostcontrib.contrib import _explain_arrays
 from boostcontrib.experiments import CORRELATION_CONFIG, NOISE_CONFIG, OUTLIER_CONFIG
 from boostcontrib.kernel import FlatForest
 from conftest import build_synthetic, json_leaf, json_split, tree_of
@@ -541,10 +542,11 @@ class TestImportance:
 
     @pytest.mark.filterwarnings("error")  # no numpy warning leaks
     def test_gains_that_overflow_are_refused(self, tmp_path, capsys):
+        # Values and residues of ±1e308 load; their squares do not add up.
         model = tmp_path / "model.json"
         model.write_text(json.dumps({
             "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a"],
-            "trees": NAN_RESIDUAL_MODELS["additive_identity"],
+            "trees": NAN_RESIDUAL_MODELS["node_means"],
         }))
         with pytest.raises(ValueError, match="split gains overflow"):
             feature_importance(load_model(model))
@@ -553,30 +555,42 @@ class TestImportance:
         assert out == "" and err == "error: split gains overflow (their total is inf); importance undefined\n"
 
 
-# Two trees whose node counts add up. Tree 1 nests a 1.7e308 node under its
-# root, listed third, and gives it a -1.7e308 leaf, so row 2's last residue
-# overflows to -inf: the identity, telescoping and node means fail there,
-# while the oracle recount, which adds the same residues in the same order,
-# and the leaf regions still agree. Cancellation alone, which a 1e20 node
-# showed here, is rounding within the size of the terms and passes.
+# Two trees whose node counts add up and whose residues are finite. Tree 1
+# lists its root third; row 2 walks its chain of values alternating about
+# ±0.85e308, whose residues credit b with more than the largest float, so
+# b's contribution overflows to -inf: the identity and the node means fail
+# there, while the oracle recount, which adds the same residues in the same
+# order, and the leaf regions still agree. Row 3's residues of ±0.425e308
+# cancel, which is rounding within the size of the terms and passes.
 OVERFLOWING_MODEL = {
     "format_version": 1, "f0": 0.5, "learning_rate": 0.5, "feature_names": ["a", "b"],
     "trees": [
         {"root": 0, "nodes": [json_split(0, 0.5, 4, 1, 0.5, 1, 2), json_leaf(1, 0.0, 2), json_leaf(2, 1.0, 2)]},
-        {"root": 0, "nodes": [json_leaf(1, 0.0, 2), json_leaf(3, -1.7e308, 1), json_split(0, 0.0, 4, 0, 0.5, 1, 2),
-                              json_split(2, 1.7e308, 2, 1, 0.5, 3, 4), json_leaf(4, 3.0, 1)]},
+        {"root": 0, "nodes": [
+            json_leaf(1, 0.0, 2), json_leaf(4, 3.0, 1), json_split(0, 0.0, 8, 0, 0.5, 1, 2),
+            json_split(2, 0.85e308, 6, 1, 0.5, 3, 4), json_split(3, -0.85e308, 5, 0, 1.5, 5, 6), json_leaf(6, 0.0, 1),
+            json_split(5, 0.5e308, 4, 1, 0.5, 7, 8), json_leaf(8, 0.0, 1), json_split(7, -0.85e308, 3, 0, 1.5, 9, 10),
+            json_leaf(10, 0.0, 1), json_split(9, 0.5e308, 2, 1, 0.5, 11, 12), json_leaf(12, 0.0, 1),
+            json_leaf(11, -0.85e308, 1),
+        ]},
     ],
 }
 
 
 # Models whose numbers are all finite but whose checks meet a NaN residual,
-# which a test of `residual > tolerance` lets pass. Each reads the row a=0.
+# which a test of `residual > tolerance` lets pass. Each reads the row a=0, b=0.
 NAN_RESIDUAL_MODELS = {
-    # Both trees send the row to 1.5e308: the prediction and the
-    # decomposition are both inf, and inf - inf is NaN.
+    # The row walks 0 -> 0.85e308 -> -0.85e308 -> 0.85e308 -> -0.85e308,
+    # splitting on a, b, a, b: a is credited 0.85e308 + 1.7e308, which is
+    # inf, and b -1.7e308 - 1.7e308, which is -inf, so the decomposition is
+    # NaN, though every residue and the prediction are finite.
     "additive_identity": [
-        {"root": 0, "nodes": [json_split(0, 0.0, 2, 0, 0.5, 1, 2), json_leaf(1, 1.5e308, 1), json_leaf(2, -1.5e308, 1)]},
-    ] * 2,
+        {"root": 0, "nodes": [
+            json_split(0, 0.0, 5, 0, 0.5, 1, 2), json_leaf(2, 0.0, 1), json_split(1, 0.85e308, 4, 1, 0.5, 3, 4),
+            json_leaf(4, 0.0, 1), json_split(3, -0.85e308, 3, 0, 0.5, 5, 6), json_leaf(6, 0.0, 1),
+            json_split(5, 0.85e308, 2, 1, 0.5, 7, 8), json_leaf(8, 0.0, 1), json_leaf(7, -0.85e308, 1),
+        ]},
+    ],
     # The path 1.5e308 -> -1.5e308 -> 1.5e308 steps by -inf, then +inf.
     "telescoping": [
         {"root": 0, "nodes": [json_split(0, 1.5e308, 4, 0, 0.5, 1, 2), json_split(1, -1.5e308, 2, 0, 0.25, 3, 4),
@@ -587,6 +601,40 @@ NAN_RESIDUAL_MODELS = {
         {"root": 0, "nodes": [json_split(0, 7.0, 4, 0, 0.5, 1, 2), json_leaf(1, 1e308, 2), json_leaf(2, -1e308, 2)]},
     ],
 }
+
+
+# Model files whose values are finite but whose sums overflow, and the one
+# line loading refuses each with. Both trees of the first send the row a=0
+# to 1.5e308, so its prediction is inf; the second steps from 1.5e308 to
+# -1.5e308, a residue of -inf.
+OVERFLOWING_FILES = {
+    "prediction": (
+        [{"root": 0, "nodes": [json_split(0, 0.0, 2, 0, 0.5, 1, 2), json_leaf(1, 1.5e308, 1), json_leaf(2, -1.5e308, 1)]}] * 2,
+        "error: predictions overflow: |f0| + learning_rate * (sum of each tree's largest |value|) is not finite\n",
+    ),
+    "residue": (
+        NAN_RESIDUAL_MODELS["telescoping"],
+        "error: node id 1: scaled residue learning_rate * (value - parent's value) overflows\n",
+    ),
+}
+
+
+class TestOverflowingModels:
+    @pytest.mark.parametrize("command", ["predict", "explain", "verify", "importance"])
+    @pytest.mark.parametrize("case", OVERFLOWING_FILES)
+    @pytest.mark.filterwarnings("error")  # the error line is the only report: no numpy warning leaks
+    def test_loading_refuses_a_model_whose_sums_overflow(self, case, command, tmp_path, capsys):
+        trees, message = OVERFLOWING_FILES[case]
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model.write_text(json.dumps({
+            "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a"], "trees": trees,
+        }))
+        data.write_text("a,y\n0.0,0.0\n")
+        argv = [command, "--model", str(model)]
+        if command != "importance":
+            argv += ["--data", str(data), "--target", "y"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", message)
 
 
 class TestVerify:
@@ -620,8 +668,8 @@ class TestVerify:
         ])
         assert (code, *capsys.readouterr()) == (
             4,
-            "additive_identity: FAIL — sample 2: prediction -8.5e+307 vs decomposition -inf\n"
-            "telescoping: FAIL — sample 2, tree 1\n"
+            "additive_identity: FAIL — sample 2: prediction -4.25e+307 vs decomposition -inf\n"
+            "telescoping: ok\n"
             "node_means: FAIL — tree 1 node 2: value 0.0 is not the weighted mean "
             "of its children (inf)\n"
             "oracle_equivalence: ok\n"
@@ -631,21 +679,31 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", NAN_RESIDUAL_MODELS)
     @pytest.mark.filterwarnings("error")  # the FAIL line is the only report: no numpy warning leaks
-    def test_a_nan_residual_fails_the_check(self, check, tmp_path, capsys):
+    def test_a_nan_residual_fails_the_check(self, check, tmp_path, capsys, monkeypatch):
         model, data = tmp_path / "model.json", tmp_path / "data.csv"
         model.write_text(json.dumps({
-            "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a"],
+            "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a", "b"],
             "trees": NAN_RESIDUAL_MODELS[check],
         }))
-        data.write_text("a,y\n0.0,0.0\n")
+        data.write_text("a,b,y\n0.0,0.0,0.0\n")
         code = cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y"])
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        if check == "telescoping":
+            # A sum along a path meets NaN only after an inf residue, and
+            # loading refuses such a model, so the check is run on the model
+            # built in memory, one row per kernel block, failing in the second.
+            assert (code, out) == (3, "") and err.startswith("error: node id 1: scaled residue")
+            tree = tree_of([(1.5e308, 4, 0, 0.5, 1, 2), (-1.5e308, 2, 0, 0.25, 3, 4), (0.0, 2), (1.5e308, 1), (0.0, 1)])
+            monkeypatch.setattr(kernel, "BLOCK_NODE_IDS", 1)
+            in_memory = Ensemble(0.0, 1.0, FlatForest.of([tree], 1.0), ("a",))
+            assert cli._telescoping_violation(in_memory, np.array([[1.0], [0.0]])) == "sample 1, tree 0"
+            return
         assert code == 4
         assert f"{check}: FAIL" in out and "all checks passed" not in out
         if check == "additive_identity":
             code = cli.main(["explain", "--model", str(model), "--data", str(data), "--target", "y", "--check"])
             assert code == 4
-            assert capsys.readouterr().err == "additivity violated at sample 0: prediction inf vs decomposition inf\n"
+            assert capsys.readouterr().err == "additivity violated at sample 0: prediction -8.5e+307 vs decomposition nan\n"
 
     @pytest.mark.parametrize("scale", [1e7, 1e8, 1e9, 1e10])
     def test_fitted_models_of_large_targets_verify(self, scale, tmp_path, capsys):
@@ -785,8 +843,9 @@ class TestModelFuzz:
     @settings(max_examples=150, deadline=2000)
     def test_one_mutated_field_is_refused_or_verified(self, fuzz_files, draw):
         # One field deleted or replaced: loading refuses the file with
-        # ModelFormatError, or verify runs to a verdict. Anything else, such
-        # as a stray TypeError, exit code 3 or a run past the deadline, is a
+        # ModelFormatError, or the model predicts and explains finite
+        # values and verify runs to a verdict. Anything else, such as a
+        # stray TypeError, exit code 3 or a run past the deadline, is a
         # defect.
         self.refused_or_verified(fuzz_files, draw, fields=1)
 
@@ -816,11 +875,24 @@ class TestModelFuzz:
                 # A feature renamed to another string is a data mismatch, exit 3.
                 assume(not (isinstance(mutation, str) and isinstance(owner[key], str)))
                 owner[key] = mutation
+        TestModelFuzz.refused_or_sound(payload, data, mutant)
+
+    def test_a_model_whose_predictions_overflow_is_refused(self, fuzz_files):
+        payload, data, mutant = fuzz_files
+        trees, _message = OVERFLOWING_FILES["prediction"]
+        TestModelFuzz.refused_or_sound({**payload, "learning_rate": 1.0, "trees": trees}, data, mutant)
+
+    @staticmethod
+    def refused_or_sound(payload, data, mutant):
+        """The model file `payload` is refused with ModelFormatError, or it
+        predicts and explains the data finitely and verify runs to a verdict."""
         mutant.write_text(json.dumps(payload))
         try:
-            load_model(mutant)
+            model = load_model(mutant)
         except ModelFormatError:
             return
+        bias, _contributions, predictions = _explain_arrays(model, cli._select_features(load_csv(data, "y"), model))
+        assert np.isfinite(bias) and np.isfinite(predictions).all()
         code = cli.main([
             "verify", "--model", str(mutant), "--data", str(data), "--target", "y",
             "--probes", "20",
