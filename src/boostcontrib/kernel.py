@@ -6,19 +6,17 @@ and load build it; a :class:`~boostcontrib.cart.Tree` is a slice of it.
 Each node's two children are laid side by side in one child table, right
 then left, so that one level step for every row in every tree is one
 gather: ``child[2 * node + (x <= threshold)]``. A leaf's two children are
-itself, so a row that has reached its leaf stays there. Two walks drive
-that one step: :meth:`FlatForest.paths` keeps the node ids of every level
-and :meth:`FlatForest.leaves` only the current ones. Both stop a block of
-rows once every row rests at its leaf, so a deep, unbalanced tree costs a
-block its deepest row's levels, not the tree's depth. Everything the
-package reads off a traversal comes from the visited node ids:
+itself, so a row that has reached its leaf stays there. Three walks drive
+that one step; each stops a block of rows once every row rests at its leaf,
+so a deep, unbalanced tree costs a block its deepest row's levels:
 
-* the leaf sum, added tree by tree, which predictions are built on;
-* per-feature contributions, the scaled residues of the visited edges
-  credited to the feature tested at each edge's parent;
-* the traversed edges, listed once by :meth:`FlatForest.edges`, from
-  which decision records and decision spaces are read;
-* one tree's path, which ``cart.decision_path`` reads as a batch of one.
+* :meth:`FlatForest.leaves` keeps the current nodes, for the leaf sum;
+* ``_explain`` reads the step directly: the cell of x a row tested is the
+  bin of its contribution, and :attr:`FlatForest.slot_residue` at the slot
+  it took the weight, credited to the feature the edge's parent tests;
+* :meth:`FlatForest.paths` keeps every level's node ids, only for the
+  edges :meth:`FlatForest.edges` lists (decision records and spaces),
+  ``verify``'s telescoping check and ``cart.decision_path``.
 
 This is the package's one routing code beside the oracle's, and it
 imports nothing from the package at run time.
@@ -28,9 +26,9 @@ both sums are taken with ``np.bincount``, which adds its weights into each
 bin in input order. Weights are laid out tree, then step, then row, and
 each bin belongs to one row, so every row is summed tree-major,
 path-minor, exactly as the descent in :mod:`boostcontrib.oracle`
-sums it, and the two agree bit for bit. A leaf routes to itself; the
-padded steps after a row reaches its leaf weigh +0.0, which leaves a sum
-that started at +0.0 unchanged.
+sums it, and the two agree bit for bit. A leaf routes to itself; a step
+a row takes at its leaf weighs +0.0, and so would each step the early
+stop skips, which leaves a sum that started at +0.0 unchanged.
 """
 
 from __future__ import annotations
@@ -44,9 +42,10 @@ import numpy as np
 if TYPE_CHECKING:
     from .cart import Tree
 
-# Rows per block are chosen so one block's path array, or the leaf walk's
-# array of current nodes, holds about this many node ids. This bounds the
-# kernel's working memory whatever the input size, and blocks of this size
+# Rows per block are chosen so one block's path array, the leaf walk's
+# current nodes, or explanation's bins and its weights each hold about this
+# many entries. This bounds the kernel's working memory whatever the input
+# size, and blocks of this size
 # ran fastest on a 120-tree depth-4 model (2-core x86 machine): a block's
 # temporaries then stay in the CPU cache.
 BLOCK_NODE_IDS = 1 << 15
@@ -129,15 +128,14 @@ class FlatForest:
     @cached_property
     def residue(self) -> np.ndarray:
         """Per node, learning_rate * (its value - its parent's); 0.0 at a root."""
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residue is verify's to report
+        with np.errstate(over="ignore", invalid="ignore"):  # load_model refuses an overflow; verify reports one built otherwise
             residue = self.learning_rate * (self.value - self.value.take(self.parent))
         residue[self.roots] = 0.0
         return residue
 
     @cached_property
     def slot_residue(self) -> np.ndarray:
-        """Per child-table slot s, residue[child[s]]: what a step through s
-        adds to the tested feature's contribution; +0.0 at a leaf's slots."""
+        """Per child-table slot s, residue[child[s]]; +0.0 at a leaf's slots."""
         weight = self.residue.take(self.child)
         weight.reshape(-1, 2)[self.left == np.arange(self.left.size)] = 0.0
         return weight
@@ -145,10 +143,9 @@ class FlatForest:
     def _levels(self, x: np.ndarray, steps: list | None = None) -> Iterator[np.ndarray]:
         """The (trees, rows) node ids that the rows of x occupy, level by
         level: the roots first, then one step at a time until no row moves,
-        which is when every row rests at its leaf. If `steps` is a list, each
-        step appends to it, as (trees, rows) arrays, the index into x.ravel()
-        of the cell each row tested and :attr:`slot_residue` at the slot it
-        took: the contribution bins and weights of its edges."""
+        which is when every row rests at its leaf. Each step appends to the list
+        `steps`, if given, its contribution bins and weights as (trees, rows) arrays:
+        the cells of x.ravel() the rows tested, and slot_residue at the slots taken."""
         n, d = x.shape
         values = x.ravel()
         row_start = np.arange(n) * d
@@ -204,9 +201,8 @@ class FlatForest:
             yield rows, nodes
 
     def _explain(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of X, its (n, d) contributions and its leaf sum, from one
-        walk that keeps each step's contribution bins and weights, not its
-        nodes. A block holds at most BLOCK_NODE_IDS of each."""
+        """Per row of X, its (n, d) contributions and its leaf sum, from one walk
+        that keeps each step's bins and weights (at most BLOCK_NODE_IDS of each), not its nodes."""
         n, d = X.shape
         contributions, leaf_sums, steps = np.zeros((n, d)), np.empty(n), []
         for rows, levels in self._walk(X, BLOCK_NODE_IDS // (self.roots.shape[0] * max(1, self.depth)), steps):
