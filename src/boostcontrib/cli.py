@@ -40,12 +40,7 @@ from .experiments import (
     run_outlier_experiment,
     write_report,
 )
-from .oracle import (
-    check_partition,
-    enumerate_leaf_regions,
-    naive_contributions_batch,
-    sample_probes,
-)
+from .oracle import check_partition, enumerate_leaf_regions, naive_contributions_batch
 
 # |prediction - (bias + sum of contributions)| must stay within this,
 # relative to the size of the terms (see _misses).
@@ -229,12 +224,25 @@ def _oracle_disagreement(model: Ensemble, X: np.ndarray, bias: float, contributi
     return None
 
 
-def _partition_violation(model: Ensemble, probes: np.ndarray) -> str | None:
-    """The first tree whose leaf regions do not hold every probe exactly once."""
-    for t, tree in enumerate(model.trees):
-        lower, upper, _value = enumerate_leaf_regions(tree)
-        if not check_partition(lower, upper, probes):
-            return f"tree {t}: some probe hit != 1 leaf region"
+@np.errstate(over="ignore")  # the next double above the largest is inf
+def _partition_violation(model: Ensemble) -> str | None:
+    """The first tree whose leaf regions, as oracle.enumerate_leaf_regions lists them, are not the
+    partition the kernel routes by. One witness per non-empty region (its closed upper bound where
+    finite, else the next double above its lower bound, else 0.0) must reach a leaf whose row of
+    FlatForest.regions has the region's bits, and lie in no other region."""
+    lowers, uppers = zip(*(enumerate_leaf_regions(tree)[:2] for tree in model.trees))
+    owner = np.repeat(np.arange(len(lowers)), list(map(len, lowers)))
+    lower, upper = np.concatenate(lowers), np.concatenate(uppers)
+    held = (lower < upper).all(axis=1)  # an empty region holds no point, and breaks no partition
+    owner, lower, upper = owner[held], lower[held], upper[held]
+    witness = np.where(np.isfinite(upper), upper, np.where(np.isfinite(lower), np.nextafter(lower, np.inf), 0.0))
+    reached = np.concatenate([leaves[owner[rows], np.arange(leaves.shape[1])] for rows, leaves in model.flat.leaves(witness)])
+    kernel = np.hstack(model.flat.regions(model.n_features))[reached]
+    strays = (kernel.view(np.int64) != np.hstack([lower, upper]).view(np.int64)).any(axis=1)
+    for t, (tree_lower, tree_upper) in enumerate(zip(lowers, uppers)):
+        mine = owner == t
+        if strays[mine].any() or not check_partition(tree_lower, tree_upper, witness[mine]):
+            return f"tree {t}: leaf regions differ from the kernel's or overlap"
     return None
 
 
@@ -242,13 +250,12 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     X = _select_features(load_csv(args.data, args.target), model)
     bias, contributions, predictions = _explain_arrays(model, X)
-    probes = sample_probes(X, args.probes, args.probe_seed)
     checks = [
         ("additive_identity", _additivity_violation(bias, contributions, predictions)),
         ("telescoping", _telescoping_violation(model, X)),
         ("node_means", _node_mean_violation(model)),
         ("oracle_equivalence", _oracle_disagreement(model, X, bias, contributions)),
-        ("leaf_partition", _partition_violation(model, probes)),
+        ("leaf_partition", _partition_violation(model)),
     ]
     for name, detail in checks:
         print(f"{name}: ok" if detail is None else f"{name}: FAIL — {detail}")
@@ -397,13 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_importance)
 
-    p = sub.add_parser(
-        "verify", help="run internal-consistency checks on a model against data"
-    )
+    p = sub.add_parser("verify", help="run internal-consistency checks on a model against data")
     p.add_argument("--model", required=True)
     _add_data_flags(p)
-    p.add_argument("--probes", type=_positive_int, default=1000, help="probes per tree for the leaf-partition check")
-    p.add_argument("--probe-seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     exp = sub.add_parser("experiment", help="run one of the attribution studies")

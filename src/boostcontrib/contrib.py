@@ -134,19 +134,13 @@ def decision_contributions(ens: Ensemble, x) -> list[DecisionRecord]:
 
 def _decision_bounds(ens: Ensemble, data) -> tuple[np.ndarray, np.ndarray]:
     """(n, d) arrays lower and upper: row i's decision space along feature j
-    is (lower[i, j], upper[i, j]]."""
+    is (lower[i, j], upper[i, j]], its leaves' regions intersected in tree order."""
     X = _features(ens, data)
-    flat = ens.flat
-    d = ens.n_features
-    lower = np.full(X.shape, -np.inf)
-    upper = np.full(X.shape, np.inf)
-    for rows, ids in flat.paths(X):
-        row, child = flat.edges(ids)
-        parent = flat.parent[child]
-        bins = flat.feature[parent] + (row + rows.start) * d
-        went_left = child == flat.left[parent]
-        np.minimum.at(upper.reshape(-1), bins[went_left], flat.threshold[parent[went_left]])
-        np.maximum.at(lower.reshape(-1), bins[~went_left], flat.threshold[parent[~went_left]])
+    region_lower, region_upper = ens.flat.regions(ens.n_features)
+    lower, upper = np.empty(X.shape), np.empty(X.shape)
+    for rows, leaves in ens.flat.leaves(X):
+        lower[rows] = np.maximum.reduce(region_lower[leaves], axis=0)
+        upper[rows] = np.minimum.reduce(region_upper[leaves], axis=0)
     return lower, upper
 
 

@@ -10,13 +10,13 @@ itself, so a row that has reached its leaf stays there. Three walks drive
 that one step; each stops a block of rows once every row rests at its leaf,
 so a deep, unbalanced tree costs a block its deepest row's levels:
 
-* :meth:`FlatForest.leaves` keeps the current nodes, for the leaf sum;
+* :meth:`FlatForest.leaves` keeps the current nodes: leaf sums, leaf regions;
 * ``_explain`` reads the step directly: the cell of x a row tested is the
   bin of its contribution, and :attr:`FlatForest.slot_residue` at the slot
   it took the weight, credited to the feature the edge's parent tests;
 * :meth:`FlatForest.paths` keeps every level's node ids, only for the
-  edges :meth:`FlatForest.edges` lists (decision records and spaces),
-  ``verify``'s telescoping check and ``cart.decision_path``.
+  edges :meth:`FlatForest.edges` lists (decision records), ``verify``'s
+  telescoping check and ``cart.decision_path``.
 
 This is the package's one routing code beside the oracle's, and it
 imports nothing from the package at run time.
@@ -140,6 +140,22 @@ class FlatForest:
         weight.reshape(-1, 2)[self.left == np.arange(self.left.size)] = 0.0
         return weight
 
+    def regions(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per node, the region of x that reaches it as (nodes, d) arrays lower and upper,
+        lower < x <= upper. Level by level, a child takes its parent's bounds, one side narrowed
+        at the parent's feature by np.minimum/np.maximum(bound, threshold): a tie keeps the threshold."""
+        lower, upper = np.full((self.left.size, d), -np.inf), np.full((self.left.size, d), np.inf)
+        level = self.roots
+        while level.size:
+            level = level[self.left[level] != level]
+            left, right, feature = self.left[level], self.right[level], self.feature[level]
+            lower[left] = lower[right] = lower[level]
+            upper[left] = upper[right] = upper[level]
+            upper[left, feature] = np.minimum(upper[level, feature], self.threshold[level])
+            lower[right, feature] = np.maximum(lower[level, feature], self.threshold[level])
+            level = np.concatenate([left, right])
+        return lower, upper
+
     def _levels(self, x: np.ndarray, steps: list | None = None) -> Iterator[np.ndarray]:
         """The (trees, rows) node ids that the rows of x occupy, level by
         level: the roots first, then one step at a time until no row moves,
@@ -153,13 +169,18 @@ class FlatForest:
         yield nodes
         for step in range(1, self.depth + 1):
             cells = self.feature.take(nodes) + row_start
-            slots = 2 * nodes + (values.take(cells) <= self.threshold.take(nodes))
+            tested = values.take(cells)
+            if steps is None:
+                del cells  # kept only as bins: gone before the threshold gather
+            go_left = tested <= self.threshold.take(nodes)
+            del tested
+            slots = 2 * nodes + go_left
             moved = self.child.take(slots)
             if step > self._first_rest and (moved == nodes).all():
                 return
             if steps is not None:
                 steps.append((cells, self.slot_residue.take(slots)))
-            del cells, slots  # unless kept in steps, gone before the next step's
+            del slots  # gone before the next step's
             nodes = moved
             yield nodes
 

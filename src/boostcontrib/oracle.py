@@ -72,9 +72,9 @@ def enumerate_leaf_regions(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarr
             continue
         feat, th = tree.feature[node], tree.threshold[node]
         left_upper = upper.copy()
-        left_upper[feat] = min(left_upper[feat], th)
+        left_upper[feat] = min(th, left_upper[feat])  # on a tie of zeros, the threshold's
         right_lower = lower.copy()
-        right_lower[feat] = max(right_lower[feat], th)
+        right_lower[feat] = max(th, right_lower[feat])
         stack.append((tree.right[node], right_lower, upper))
         stack.append((tree.left[node], lower, left_upper))  # left is visited first
     return np.array(lowers), np.array(uppers), tree.value[leaves]
@@ -82,24 +82,20 @@ def enumerate_leaf_regions(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def count_containing_regions(lower, upper, probes) -> np.ndarray:
     """How many of the regions (lower, upper), as enumerate_leaf_regions
-    gives them, contain each probe; exhaustive, no tree traversal. A column
-    that every region leaves unbounded (-inf below, +inf above) and every
-    probe holds finite passes every test, so only the other columns are
-    tested, one at a time, into a regions x probes mask. Probes are taken
-    in chunks of at most CHUNK_CELLS mask cells (at least one probe), which
+    gives them, contain each probe; exhaustive, no tree traversal. Columns
+    are tested one at a time into a regions x probes mask, probes taken in
+    chunks of at most CHUNK_CELLS mask cells (at least one probe), which
     bounds the working memory."""
     probes = np.asarray(probes, dtype=np.float64)
     n_regions, d = lower.shape
     if probes.ndim != 2 or probes.shape[1] != d:
         raise ValueError(f"probes must be (n, {d}) like the regions, got shape {probes.shape}")
     columns = np.ascontiguousarray(probes.T)
-    tested = (lower != -np.inf).any(axis=0) | (upper != np.inf).any(axis=0)
-    tested |= ~np.isfinite(columns).all(axis=1)
-    lower, upper = lower.T[tested, :, None], upper.T[tested, :, None]
+    lower, upper = lower.T[:, :, None], upper.T[:, :, None]
     chunk = max(1, CHUNK_CELLS // max(n_regions, 1))
     counts = np.empty(probes.shape[0], dtype=np.int64)
     for start in range(0, probes.shape[0], chunk):
-        p = columns[tested, start : start + chunk]
+        p = columns[:, start : start + chunk]
         inside = np.ones((n_regions, p.shape[1]), dtype=bool)
         for column, low, high in zip(p, lower, upper):
             inside &= low < column
@@ -112,17 +108,3 @@ def check_partition(lower, upper, probes) -> bool:
     """True iff every probe lies in exactly one of the regions (lower, upper)."""
     return bool(np.all(count_containing_regions(lower, upper, probes) == 1))
 
-
-def sample_probes(X, n_probes: int, seed: int) -> np.ndarray:
-    """Uniform probes over the data bounding box inflated by one range-width
-    per side, so unbounded intervals get exercised too. The box is clipped
-    to half the float range per side, so its width stays finite for data
-    near the float maximum."""
-    X = np.asarray(X, dtype=np.float64)
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    limit = np.finfo(np.float64).max / 2
-    with np.errstate(over="ignore"):
-        span = hi - lo
-        low, high = np.clip(lo - span, -limit, limit), np.clip(hi + span, -limit, limit)
-    return np.random.default_rng(seed).uniform(low, high, size=(n_probes, X.shape[1]))

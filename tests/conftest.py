@@ -79,6 +79,21 @@ def tree_of(nodes, root: int = 0, n_features: int = 1) -> Tree:
     )
 
 
+def sample_probes(X, n_probes: int, seed: int) -> np.ndarray:
+    """Uniform probes over the data bounding box inflated by one range-width
+    per side, so unbounded intervals get exercised too. The box is clipped
+    to half the float range per side, so its width stays finite for data
+    near the float maximum."""
+    X = np.asarray(X, dtype=np.float64)
+    lo = X.min(axis=0)
+    hi = X.max(axis=0)
+    limit = np.finfo(np.float64).max / 2
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        low, high = np.clip(lo - span, -limit, limit), np.clip(hi + span, -limit, limit)
+    return np.random.default_rng(seed).uniform(low, high, size=(n_probes, X.shape[1]))
+
+
 def region_index(lower, upper, X) -> np.ndarray:
     """Per row of X, the index of the one region (lower, upper), as
     enumerate_leaf_regions gives them, with lower < x <= upper."""

@@ -45,9 +45,8 @@ from boostcontrib.oracle import (
     check_partition,
     enumerate_leaf_regions,
     naive_contributions,
-    sample_probes,
 )
-from conftest import D0_X, D0_Y, build_synthetic, region_leaf_values
+from conftest import D0_X, D0_Y, build_synthetic, region_leaf_values, sample_probes
 
 SWEEP_SIZE = 200
 MASTER_SEED = 20260817

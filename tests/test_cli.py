@@ -248,15 +248,6 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == "error: the copy x0_corr = 1e+308 * x0 + 0.0 overflows\n"
 
-    def test_negative_probe_seed(self, data_csv, model_json, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main([
-                "verify", "--model", str(model_json), "--data", str(data_csv), "--target", "y",
-                "--probe-seed", "-1",
-            ])
-        assert excinfo.value.code == 2
-        assert "argument --probe-seed: must be at least 0, got -1" in capsys.readouterr().err
-
 
 class TestDefaults:
     @pytest.mark.parametrize(
@@ -643,7 +634,7 @@ class TestVerify:
     def test_output_is_pinned_on_a_fitted_model(self, data_csv, model_json, capsys):
         code = cli.main([
             "verify", "--model", str(model_json), "--data", str(data_csv),
-            "--target", "y", "--probes", "200",
+            "--target", "y",
         ])
         assert (code, *capsys.readouterr()) == (
             0,
@@ -664,7 +655,6 @@ class TestVerify:
         data.write_text("a,b,y\n0.0,0.0,0.0\n0.25,1.0,1.0\n1.0,0.0,2.0\n2.0,1.0,3.0\n")
         code = cli.main([
             "verify", "--model", str(model), "--data", str(data), "--target", "y",
-            "--probes", "50",
         ])
         assert (code, *capsys.readouterr()) == (
             4,
@@ -717,7 +707,7 @@ class TestVerify:
                 writer.writerow([*ds.feature_names, "y"])
                 writer.writerows([*map(repr, x), repr(y)] for x, y in zip(ds.features.tolist(), (ds.target * scale).tolist()))
             assert cli.main(["train", "--data", str(data), "--target", "y", "--model-out", str(model)]) == 0
-            code = cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y", "--probes", "50"])
+            code = cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y"])
             assert (seed, code) == (seed, 0), capsys.readouterr().out
 
     def test_each_check_fails_a_mutant_of_ordinary_magnitude(self):
@@ -763,7 +753,7 @@ class TestVerify:
     def test_fresh_model_passes_all_checks(self, data_csv, model_json, capsys):
         code = cli.main([
             "verify", "--model", str(model_json), "--data", str(data_csv),
-            "--target", "y", "--probes", "200",
+            "--target", "y",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -773,15 +763,68 @@ class TestVerify:
         ):
             assert f"{check}: ok" in out
         assert "all checks passed" in out
-        # No probe would pass the leaf-partition check with nothing checked.
-        for probes in ("0", "-1"):
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main([
-                    "verify", "--model", str(model_json), "--data", str(data_csv),
-                    "--target", "y", "--probes", probes,
-                ])
-            assert excinfo.value.code == 2
-            assert f"must be at least 1, got {probes}" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def wide_model(self, tmp_path_factory):
+        """A 400x8 CSV and a 50-tree depth-3 model trained on it."""
+        ds = build_synthetic(n=400, d=8, seed=3)
+        folder = tmp_path_factory.mktemp("wide")
+        data, model = folder / "data.csv", folder / "model.json"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([*ds.feature_names, "y"])
+            writer.writerows([*map(repr, x), repr(y)] for x, y in zip(ds.features.tolist(), ds.target.tolist()))
+        assert cli.main([
+            "train", "--data", str(data), "--target", "y", "--n-estimators", "50", "--max-depth", "3",
+            "--model-out", str(model),
+        ]) == 0
+        return ["--model", str(model), "--data", str(data), "--target", "y"]
+
+    def test_leaf_partition_fails_a_kernel_that_routes_ties_right(self, wide_model, monkeypatch, capsys):
+        # x < threshold holds exactly when nextafter(x, inf) <= threshold, so
+        # this walk sends a row equal to a threshold right. No row of the data
+        # sits on a threshold, so only the leaf regions' witnesses see it.
+        levels = kernel.FlatForest._levels
+        monkeypatch.setattr(kernel.FlatForest, "_levels", lambda self, x, steps=None: levels(self, np.nextafter(x, np.inf), steps))
+        assert cli.main(["verify", *wide_model]) == 4
+        assert capsys.readouterr() == (
+            "additive_identity: ok\ntelescoping: ok\nnode_means: ok\noracle_equivalence: ok\n"
+            "leaf_partition: FAIL — tree 0: leaf regions differ from the kernel's or overlap\n",
+            "verification failed: leaf_partition\n",
+        )
+
+    def test_leaf_partition_fails_an_oracle_that_drops_a_right_side_bound(self, wide_model, monkeypatch, capsys):
+        # In tree 3 only, the first region with a lower bound loses it.
+        calls = []
+
+        def mutant(tree):
+            lower, upper, value = enumerate_leaf_regions(tree)
+            if len(calls) == 3:
+                region, feature = np.argwhere(lower > -np.inf)[0]
+                lower[region, feature] = -np.inf
+            calls.append(tree)
+            return lower, upper, value
+
+        enumerate_leaf_regions = cli.enumerate_leaf_regions
+        monkeypatch.setattr(cli, "enumerate_leaf_regions", mutant)
+        assert cli.main(["verify", *wide_model]) == 4
+        out = capsys.readouterr().out
+        assert "leaf_partition: FAIL — tree 3: leaf regions differ from the kernel's or overlap\n" in out
+        assert out.count("FAIL") == 1
+
+    def test_a_threshold_at_the_float_maximum_verifies(self, tmp_path, capsys):
+        # The right leaf's region is a > 1.7976931348623157e308, whose witness,
+        # the next double above its lower bound, is inf.
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model.write_text(json.dumps({
+            "format_version": 1, "f0": 0.0, "learning_rate": 1.0, "feature_names": ["a"],
+            "trees": [{"root": 0, "nodes": [
+                json_split(0, 1.0, 2, 0, 1.7976931348623157e308, 1, 2), json_leaf(1, 0.5, 1), json_leaf(2, 1.5, 1),
+            ]}],
+        }))
+        data.write_text("a,y\n0.0,0.0\n1e308,1.0\n")
+        assert cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["leaf_partition: ok", "all checks passed"]
 
     def test_corrupted_node_value_fails(self, data_csv, model_json, tmp_path, capsys):
         payload = json.loads(model_json.read_text())
@@ -790,7 +833,7 @@ class TestVerify:
         bad.write_text(json.dumps(payload))
         code = cli.main([
             "verify", "--model", str(bad), "--data", str(data_csv),
-            "--target", "y", "--probes", "50",
+            "--target", "y",
         ])
         captured = capsys.readouterr()
         assert code == 4
@@ -807,7 +850,7 @@ class TestVerify:
         ]) == 0
         code = cli.main([
             "verify", "--model", str(model_path), "--data", str(const),
-            "--target", "y", "--probes", "20",
+            "--target", "y",
         ])
         assert code == 0
         capsys.readouterr()
@@ -895,7 +938,6 @@ class TestModelFuzz:
         assert np.isfinite(bias) and np.isfinite(predictions).all()
         code = cli.main([
             "verify", "--model", str(mutant), "--data", str(data), "--target", "y",
-            "--probes", "20",
         ])
         assert code in (0, 4)
 

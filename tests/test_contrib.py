@@ -14,7 +14,9 @@ from boostcontrib import (
     fit_gbdt,
     gbdt_predict,
 )
-from conftest import D0_X, random_ensemble, region_leaf_values
+from boostcontrib.contrib import _decision_bounds
+from boostcontrib.oracle import enumerate_leaf_regions
+from conftest import D0_X, random_ensemble, region_index, region_leaf_values, sample_probes
 
 X11 = np.array([1.0, 1.0])
 
@@ -148,6 +150,26 @@ class TestDecisionSpace:
                 if probe[j] <= a:
                     probe[j] = np.nextafter(a, b)
             assert gbdt_predict(ens, probe) == base
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_are_the_oracle_regions_intersected_in_tree_order(self, seed):
+        # Rows from a box wider than the data, every other one with a cell
+        # moved onto a split threshold, where the upper bound is closed.
+        rng = np.random.default_rng(seed)
+        ds, ens = random_ensemble(rng)
+        X = sample_probes(ds.features, 21, seed)
+        splits = [(t.feature[k], t.threshold[k]) for t in ens.trees for k in np.flatnonzero(~t.is_leaf)]
+        for i in range(0, len(X), 2) if splits else ():
+            feature, threshold = splits[int(rng.integers(len(splits)))]
+            X[i, feature] = threshold
+        lower, upper = np.full(X.shape, -np.inf), np.full(X.shape, np.inf)
+        for tree in ens.trees:
+            region_lower, region_upper, _value = enumerate_leaf_regions(tree)
+            held = region_index(region_lower, region_upper, X)
+            lower, upper = np.maximum(lower, region_lower[held]), np.minimum(upper, region_upper[held])
+        got = _decision_bounds(ens, X)
+        assert (got[0].tobytes(), got[1].tobytes()) == (lower.tobytes(), upper.tobytes())
 
     def test_contains_the_sample_itself(self, d0_two_trees):
         for x in D0_X:

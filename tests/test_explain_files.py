@@ -7,6 +7,7 @@ Their numbers are Python ints and floats, which csv writes via str and repr.
 """
 
 import csv
+import hashlib
 import io
 import json
 
@@ -123,3 +124,50 @@ def test_explanations_without_out_go_to_stdout(files, capsys):
     model = load_model(model_path)
     expected = reference_files(model, load_csv(data, "y").features)["--out"]
     assert capsys.readouterr().out == expected
+
+
+def signed_zero_tree(feature: int, first: float, second: float, k: int) -> dict:
+    """Root feature <= first; both children test feature <= second. The
+    left-left leaf's upper bound meets the zeros in that order, as does the
+    right-right leaf's lower bound; the two middle leaves hold no point."""
+    leaves = [float(k), k + 1.0, -float(k), 0.5]
+    middle = [(leaves[0] + leaves[1]) / 2, (leaves[2] + leaves[3]) / 2]
+    return {"root": 0, "nodes": [
+        json_split(0, (middle[0] + middle[1]) / 2, 4, feature, first, 1, 2),
+        json_split(1, middle[0], 2, feature, second, 3, 4), json_split(2, middle[1], 2, feature, second, 5, 6),
+        *(json_leaf(3 + i, value, 1) for i, value in enumerate(leaves)),
+    ]}
+
+
+# Thresholds of +0.0 and -0.0 on each side of each feature. A bound takes
+# the last zero met, in tree order, then path order: a's is -0.0 and b's
+# +0.0, where keeping the first zero met, in the trees or along a path,
+# gives the other sign. Rows sit on both zeros and next to them.
+SIGNED_ZERO_MODEL = {
+    "format_version": 1, "f0": 0.0, "learning_rate": 0.5, "feature_names": ["a", "b"],
+    "trees": [
+        signed_zero_tree(feature, first, second, k)
+        for k, (feature, first, second) in enumerate(
+            [(0, 0.0, 0.0), (1, -0.0, -0.0), (0, 0.0, -0.0), (1, -0.0, 0.0)]
+        )
+    ],
+}
+SIGNED_ZERO_DATA = "a,b,y\n" + "".join(
+    f"{a!r},{b!r},0\n" for a in (0.0, -0.0, 1.0, -5e-324) for b in (0.0, -0.0, 5e-324, -1.0)
+)
+
+
+def test_signed_zero_thresholds_keep_their_decision_space_bytes(tmp_path, capsys):
+    # Pinned before the decision space was read off the leaf regions.
+    model, data, space = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "space.csv"
+    model.write_text(json.dumps(SIGNED_ZERO_MODEL))
+    data.write_text(SIGNED_ZERO_DATA)
+    assert cli.main([
+        "explain", "--model", str(model), "--data", str(data), "--target", "y",
+        "--out", str(tmp_path / "e.csv"), "--decision-space", str(space),
+    ]) == 0
+    assert hashlib.sha256(space.read_bytes()).hexdigest() == (
+        "04a7e11821aed6a4b38d671a2c119f66961ebc34b2d2ca4fcbdfe98a79b42e18"
+    )
+    assert cli.main(["verify", "--model", str(model), "--data", str(data), "--target", "y"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["leaf_partition: ok", "all checks passed"]

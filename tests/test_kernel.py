@@ -13,6 +13,7 @@ import ast
 import inspect
 import json
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -23,12 +24,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostcontrib import (
+    CartParams,
+    Dataset,
     Ensemble,
+    GbdtParams,
     batch_explain,
     cart,
+    cli,
     decision_contributions,
     decision_path,
     decision_space,
+    fit_gbdt,
     iter_decision_contributions,
     iter_decision_spaces,
     load_model,
@@ -37,9 +43,9 @@ from boostcontrib import (
     tree_predict,
 )
 from boostcontrib import kernel
-from boostcontrib.contrib import _explain_arrays
+from boostcontrib.contrib import _decision_bounds, _explain_arrays
 from boostcontrib.oracle import enumerate_leaf_regions, naive_contributions
-from conftest import D0_X, random_ensemble, region_index, region_leaf_values, tree_of
+from conftest import D0_X, build_synthetic, random_ensemble, region_index, region_leaf_values, tree_of
 
 
 def bits(values) -> bytes:
@@ -395,6 +401,36 @@ def test_predict_walks_to_the_leaves_only(monkeypatch, d0_two_trees):
     _bias, _contributions, explained = _explain_arrays(d0_two_trees, D0_X)
     assert calls == []
     assert bits(explained) == bits(predictions)
+
+
+def test_decision_spaces_and_the_partition_check_walk_to_the_leaves_only(monkeypatch, d0_two_trees):
+    calls = []
+    paths, edges = kernel.FlatForest.paths, kernel.FlatForest.edges
+    monkeypatch.setattr(kernel.FlatForest, "paths", lambda self, X: calls.append("paths") or paths(self, X))
+    monkeypatch.setattr(kernel.FlatForest, "edges", staticmethod(lambda ids: calls.append("edges") or edges(ids)))
+    _decision_bounds(d0_two_trees, D0_X)
+    assert cli._partition_violation(d0_two_trees) is None
+    assert calls == []
+    decision_contributions(d0_two_trees, D0_X[0])  # the spies see the records' walk
+    assert calls == ["paths", "edges"]
+
+
+def test_the_leaf_walk_keeps_no_bins():
+    # explain-batch's model and batch size: 100 depth-4 trees fitted on
+    # 2000x10 rows, then 250 unseen rows. Each level step drops the cells it
+    # tested before it gathers the thresholds.
+    ds = build_synthetic(n=2250, d=10, seed=1)
+    train = Dataset(ds.features[:2000], ds.target[:2000], ds.feature_names)
+    ens = fit_gbdt(train, GbdtParams(n_estimators=100, cart=CartParams(max_depth=4), seed=0))
+    X = ds.features[2000:]
+    predict_batch(ens, X)
+    tracemalloc.start()
+    try:
+        predict_batch(ens, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2**20
 
 
 def test_predict_through_a_deep_chain_walks_large_blocks_of_leaves():

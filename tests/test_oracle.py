@@ -19,9 +19,8 @@ from boostcontrib.oracle import (
     enumerate_leaf_regions,
     naive_contributions,
     naive_contributions_batch,
-    sample_probes,
 )
-from conftest import random_ensemble, tree_of
+from conftest import random_ensemble, sample_probes, tree_of
 
 
 class TestNaiveContributions:
