@@ -72,7 +72,7 @@ def enumerate_leaf_regions(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarr
             continue
         feat, th = tree.feature[node], tree.threshold[node]
         left_upper = upper.copy()
-        left_upper[feat] = min(th, left_upper[feat])  # on a tie of zeros, the threshold's
+        left_upper[feat] = min(th, left_upper[feat])  # a tie of zeros keeps the threshold's sign
         right_lower = lower.copy()
         right_lower[feat] = max(th, right_lower[feat])
         stack.append((tree.right[node], right_lower, upper))

@@ -795,7 +795,7 @@ class TestVerify:
 
     def test_leaf_partition_fails_an_oracle_that_drops_a_right_side_bound(self, wide_model, monkeypatch, capsys):
         # In tree 3 only, the first region with a lower bound loses it.
-        calls = []
+        calls, enumerate_leaf_regions = [], cli.enumerate_leaf_regions
 
         def mutant(tree):
             lower, upper, value = enumerate_leaf_regions(tree)
@@ -805,7 +805,6 @@ class TestVerify:
             calls.append(tree)
             return lower, upper, value
 
-        enumerate_leaf_regions = cli.enumerate_leaf_regions
         monkeypatch.setattr(cli, "enumerate_leaf_regions", mutant)
         assert cli.main(["verify", *wide_model]) == 4
         out = capsys.readouterr().out

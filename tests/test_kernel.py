@@ -203,10 +203,10 @@ def assert_routes_as_regions(tree, X):
         for parent, child in zip(path, path[1:]):
             feature, threshold = tree.feature[parent], tree.threshold[parent]
             if child == tree.left[parent]:
-                high[feature] = min(high[feature], threshold)
+                high[feature] = min(threshold, high[feature])  # a tie of zeros keeps the threshold's, as the oracle does
             else:
                 assert child == tree.right[parent]
-                low[feature] = max(low[feature], threshold)
+                low[feature] = max(threshold, low[feature])
         assert bits(low) == bits(lower[region]) and bits(high) == bits(upper[region])
         assert bits(tree_predict(tree, x)) == bits(value[region])
 
