@@ -84,6 +84,11 @@ class Ensemble:
             for a, b, root in _tree_spans(f)
         ]
 
+    @cached_property
+    def regions(self) -> tuple[np.ndarray, np.ndarray]:
+        """`flat.regions(n_features)`, the leaf-region table, built on first use."""
+        return self.flat.regions(self.n_features)
+
 
 def _tree_spans(flat: FlatForest):
     """Per tree of flat: its first node's id, the next tree's first and its root's."""

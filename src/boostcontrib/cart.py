@@ -551,9 +551,7 @@ def decision_path(tree: Tree, x) -> list[int]:
     """Node ids from root to the leaf reached by x, in traversal order: a
     batch of one through the kernel, which refuses nodes that are not a tree."""
     x = _check_vector(tree, x)
-    (_rows, ids), = FlatForest.of([tree], 1.0).paths(x[None])
-    path = ids[0, :, 0].tolist()
-    return path[: path.index(path[-1]) + 1]
+    return [nodes[0, 0].item() for nodes in FlatForest.of([tree], 1.0)._levels(x[None])]
 
 
 def tree_predict(tree: Tree, x) -> float:

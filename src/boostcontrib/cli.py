@@ -183,15 +183,21 @@ def cmd_importance(args) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN or inf residual fails the check
 def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
-    """The first sample, then tree, whose root value plus the differences
-    along its path misses its leaf value by more than 1e-12 relative to the
-    largest |value| on the path, or by inf or NaN."""
-    for rows, ids in model.flat.paths(X):
-        values = model.flat.value.take(ids)
-        walked = values[:, 0].copy()
-        for step in range(1, values.shape[1]):
-            walked += values[:, step] - values[:, step - 1]  # 0.0 once the row is at its leaf
-        failed = np.argwhere(_misses(walked - values[:, -1], 1e-12, np.abs(values).max(axis=1)).T)
+    """The first sample, then tree, whose root value plus the differences along its path misses its
+    leaf value by more than 1e-12 relative to the largest |value| on the path, or by inf or NaN. Both
+    are built per node, level by level from the roots, and read at each row's leaves."""
+    flat = model.flat
+    walked, largest = flat.value.copy(), np.abs(flat.value)
+    level = flat.roots
+    while level.size:
+        level = level[flat.left[level] != level]
+        for child in (flat.left[level], flat.right[level]):
+            walked[child] = walked[level] + (flat.value[child] - flat.value[level])
+            largest[child] = np.maximum(largest[level], largest[child])
+        level = np.concatenate([flat.left[level], flat.right[level]])
+    missed = _misses(walked - flat.value, 1e-12, largest)
+    for rows, leaves in flat.leaves(X):
+        failed = np.argwhere(missed[leaves].T)
         if failed.size:
             return f"sample {rows.start + failed[0, 0]}, tree {failed[0, 1]}"
     return None
@@ -237,7 +243,7 @@ def _partition_violation(model: Ensemble) -> str | None:
     owner, lower, upper = owner[held], lower[held], upper[held]
     witness = np.where(np.isfinite(upper), upper, np.where(np.isfinite(lower), np.nextafter(lower, np.inf), 0.0))
     reached = np.concatenate([leaves[owner[rows], np.arange(leaves.shape[1])] for rows, leaves in model.flat.leaves(witness)])
-    kernel = np.hstack(model.flat.regions(model.n_features))[reached]
+    kernel = np.hstack(model.regions)[reached]
     strays = (kernel.view(np.int64) != np.hstack([lower, upper]).view(np.int64)).any(axis=1)
     for t, (tree_lower, tree_upper) in enumerate(zip(lowers, uppers)):
         mine = owner == t

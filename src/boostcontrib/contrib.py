@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -108,14 +108,24 @@ def feature_contributions(ens: Ensemble, x) -> Explanation:
 
 
 def _edges_per_row(ens: Ensemble, X: np.ndarray, items) -> Iterator[list]:
-    """Per row of X, the items of its edges in tree, then step order, sliced
-    from items(child): a list of one item per edge of a block of rows."""
-    for _rows, ids in ens.flat.paths(X):
-        row, child = ens.flat.edges(ids)
+    """Per row of X, the items of its edges in tree, then step order, an edge named by its child:
+    per block of rows, items(child) on the root-first paths of the distinct leaves the block
+    reaches, a leaf's path being its one path from the root, and each row takes its leaves' slices."""
+    flat = ens.flat
+    for _rows, leaves in flat.leaves(X):
+        reached, leaf_of = np.unique(leaves, return_inverse=True)
+        ends = np.cumsum(flat.node_depth[reached])
+        child = np.empty(ends[-1], dtype=np.intp)
+        nodes, slot = reached, ends - 1
+        while nodes.size:  # up from the leaves, one level at a time, until every path is at its root
+            below_root = nodes != flat.parent[nodes]
+            nodes, slot = nodes[below_root], slot[below_root]
+            child[slot] = nodes
+            nodes, slot = flat.parent[nodes], slot - 1
         block = items(child)
-        ends = np.cumsum(np.bincount(row, minlength=ids.shape[2])).tolist()
-        for start, end in zip([0, *ends], ends):
-            yield block[start:end]
+        paths = [block[start:end] for start, end in zip([0, *ends.tolist()], ends.tolist())]
+        for row in leaf_of.reshape(leaves.shape).T.tolist():
+            yield list(chain.from_iterable(map(paths.__getitem__, row)))
 
 
 def iter_decision_contributions(ens: Ensemble, data) -> Iterator[list[DecisionRecord]]:
@@ -136,7 +146,7 @@ def _decision_bounds(ens: Ensemble, data) -> tuple[np.ndarray, np.ndarray]:
     """(n, d) arrays lower and upper: row i's decision space along feature j
     is (lower[i, j], upper[i, j]], its leaves' regions intersected in tree order."""
     X = _features(ens, data)
-    region_lower, region_upper = ens.flat.regions(ens.n_features)
+    region_lower, region_upper = ens.regions
     lower, upper = np.empty(X.shape), np.empty(X.shape)
     for rows, leaves in ens.flat.leaves(X):
         lower[rows] = np.maximum.reduce(region_lower[leaves], axis=0)

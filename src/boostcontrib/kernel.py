@@ -6,17 +6,19 @@ and load build it; a :class:`~boostcontrib.cart.Tree` is a slice of it.
 Each node's two children are laid side by side in one child table, right
 then left, so that one level step for every row in every tree is one
 gather: ``child[2 * node + (x <= threshold)]``. A leaf's two children are
-itself, so a row that has reached its leaf stays there. Three walks drive
+itself, so a row that has reached its leaf stays there. Two walks drive
 that one step; each stops a block of rows once every row rests at its leaf,
 so a deep, unbalanced tree costs a block its deepest row's levels:
 
-* :meth:`FlatForest.leaves` keeps the current nodes: leaf sums, leaf regions;
+* :meth:`FlatForest.leaves` keeps the current nodes. A leaf has one path
+  from its root, so what a row's path decides is read off its leaves: leaf
+  sums, leaf regions, decision records and ``verify``'s telescoping check;
 * ``_explain`` reads the step directly: the cell of x a row tested is the
   bin of its contribution, and :attr:`FlatForest.slot_residue` at the slot
-  it took the weight, credited to the feature the edge's parent tests;
-* :meth:`FlatForest.paths` keeps every level's node ids, only for the
-  edges :meth:`FlatForest.edges` lists (decision records), ``verify``'s
-  telescoping check and ``cart.decision_path``.
+  it took the weight, credited to the feature the edge's parent tests.
+
+``cart.decision_path`` reads the step too: for one tree and one row, the
+levels are exactly the nodes from the root to the leaf.
 
 This is the package's one routing code beside the oracle's, and it
 imports nothing from the package at run time.
@@ -42,12 +44,11 @@ import numpy as np
 if TYPE_CHECKING:
     from .cart import Tree
 
-# Rows per block are chosen so one block's path array, the leaf walk's
-# current nodes, or explanation's bins and its weights each hold about this
-# many entries. This bounds the kernel's working memory whatever the input
-# size, and blocks of this size
-# ran fastest on a 120-tree depth-4 model (2-core x86 machine): a block's
-# temporaries then stay in the CPU cache.
+# Rows per block are chosen so the leaf walk's current nodes, or
+# explanation's bins and its weights, each hold about this many entries.
+# This bounds the kernel's working memory whatever the input size, and
+# blocks of this size ran fastest on a 120-tree depth-4 model (2-core x86
+# machine): a block's temporaries then stay in the CPU cache.
 BLOCK_NODE_IDS = 1 << 15
 
 
@@ -192,29 +193,12 @@ class FlatForest:
             rows = slice(start, min(start + block, X.shape[0]))
             yield rows, self._levels(X[rows], steps)
 
-    def paths(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-        """Route every row of X through every tree, one level at a time.
-
-        Yields (rows, ids) per block of rows: ids[t, s, i] is the global
-        id of the node that row ``rows.start + i`` occupies in tree t
-        after s steps, so ids[:, 0] are the roots and ids[:, -1] the
-        leaves. Steps after every row of a block has stopped repeat the
-        leaves.
-        """
-        n_trees = self.roots.shape[0]
-        for rows, levels in self._walk(X, BLOCK_NODE_IDS // (n_trees * (self.depth + 1))):
-            ids = np.empty((n_trees, self.depth + 1, rows.stop - rows.start), dtype=np.intp)
-            for step, nodes in enumerate(levels):
-                ids[:, step] = nodes
-            ids[:, step + 1:] = nodes[:, None]
-            yield rows, ids
-
     def leaves(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Route every row of X to its leaf in every tree, keeping no path.
 
         Yields (rows, leaves) per block of rows, leaves[t, i] being the
-        global id of row ``rows.start + i``'s leaf in tree t: the last step
-        of :meth:`paths`, in blocks sized for this array alone.
+        global id of row ``rows.start + i``'s leaf in tree t, in blocks
+        sized for this array alone.
         """
         for rows, levels in self._walk(X, BLOCK_NODE_IDS // self.roots.shape[0]):
             for nodes in levels:
@@ -235,19 +219,6 @@ class FlatForest:
                 contributions[rows] = np.bincount(*cells_and_weights, nodes.shape[1] * d).reshape(-1, d)
             leaf_sums[rows] = self.leaf_sum(nodes)
         return contributions, leaf_sums
-
-    @staticmethod
-    def edges(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The traversed edges of one block of paths from :meth:`paths`.
-
-        Returns arrays (row, child), one entry per edge, ordered by row, then
-        tree, then step; rows count from the block's first row, and an edge is
-        named by its child node. A step whose node equals the previous one is
-        a row resting at its leaf, not an edge.
-        """
-        parent, child = ids[:, :-1], ids[:, 1:]
-        row, tree, step = np.nonzero((parent != child).transpose(2, 0, 1))
-        return row, child[tree, step, row]
 
     def edge_fields(self, child: np.ndarray) -> tuple[list, ...]:
         """The fields of :class:`~boostcontrib.contrib.DecisionRecord` for the

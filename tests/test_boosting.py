@@ -507,8 +507,8 @@ class TestStageUpdate:
         for residual, tree in zip(received, model.trees):
             assert residual.tobytes() == (ds.target - running).tobytes()
             flat = FlatForest.of([tree], model.learning_rate)
-            for rows, ids in flat.paths(ds.features):
-                running[rows] = running[rows] + model.learning_rate * flat.leaf_sum(ids[:, -1])
+            for rows, leaves in flat.leaves(ds.features):
+                running[rows] = running[rows] + model.learning_rate * flat.leaf_sum(leaves)
 
     def test_outlier_study_data(self, synthetic_500x8):
         train, _ = train_test_split(synthetic_500x8, OUTLIER_CONFIG.test_fraction, 0)

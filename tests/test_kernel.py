@@ -12,10 +12,12 @@ regions; a hand-built non-tree is refused, never walked.
 import ast
 import inspect
 import json
+import os
 import signal
+import sys
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -43,9 +45,9 @@ from boostcontrib import (
     tree_predict,
 )
 from boostcontrib import kernel
-from boostcontrib.contrib import _decision_bounds, _explain_arrays
+from boostcontrib.contrib import _explain_arrays
 from boostcontrib.oracle import enumerate_leaf_regions, naive_contributions
-from conftest import D0_X, build_synthetic, random_ensemble, region_index, region_leaf_values, tree_of
+from conftest import D0_X, D0_Y, build_synthetic, random_ensemble, region_index, region_leaf_values, tree_of
 
 
 def bits(values) -> bytes:
@@ -101,6 +103,38 @@ def test_batched_decisions_equal_single_rows(seed, n_rows):
         decision_contributions(ens, x) for x in X
     ]
     assert list(iter_decision_spaces(ens, X)) == [decision_space(ens, x) for x in X]
+
+
+def descended_records(ens, x) -> list[tuple]:
+    """The fields of x's decision records from a descent of each tree's own
+    arrays, root to leaf, written without the kernel."""
+    records = []
+    for t, tree in enumerate(ens.trees):
+        node, step = tree.root, 0
+        while not tree.is_leaf[node]:
+            feature, threshold = int(tree.feature[node]), float(tree.threshold[node])
+            went_left = bool(x[feature] <= threshold)
+            child = int(tree.left[node] if went_left else tree.right[node])
+            residue = float(tree.value[child] - tree.value[node])
+            records.append((t, step, feature, threshold, "left" if went_left else "right", residue, ens.learning_rate * residue))
+            node, step = child, step + 1
+    return records
+
+
+def float_bits(fields) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v for v in fields)
+
+
+@pytest.mark.parametrize("block_node_ids", [kernel.BLOCK_NODE_IDS, 1])
+@given(seed=st.integers(0, 100_000), n_rows=st.sampled_from([1, 17]))
+@settings(max_examples=25, deadline=None)
+def test_records_equal_an_independent_descent(block_node_ids, seed, n_rows):
+    rng = np.random.default_rng(seed)
+    _, ens = random_ensemble(rng)
+    X = rows_with_ties(rng, ens, n_rows)
+    with mock.patch.object(kernel, "BLOCK_NODE_IDS", block_node_ids):
+        records = [[float_bits(astuple(r)) for r in row] for row in iter_decision_contributions(ens, X)]
+    assert records == [list(map(float_bits, descended_records(ens, x))) for x in X]
 
 
 def test_threshold_ties_route_left():
@@ -333,13 +367,13 @@ def test_a_non_tree_is_refused_not_walked(walk, nodes):
 
 def test_single_tree_functions_are_batches_of_one(monkeypatch):
     shapes = []
-    paths = kernel.FlatForest.paths
+    levels = kernel.FlatForest._levels
 
-    def spy(self, X):
-        shapes.append(X.shape)
-        return paths(self, X)
+    def spy(self, x, steps=None):
+        shapes.append(x.shape)
+        return levels(self, x, steps)
 
-    monkeypatch.setattr(kernel.FlatForest, "paths", spy)
+    monkeypatch.setattr(kernel.FlatForest, "_levels", spy)
     tree = tree_of([(0.0, 2, 0, 0.5, 1, 2), (-1.0, 1), (1.0, 1)])
     assert decision_path(tree, np.array([0.5])) == [0, 1]
     assert tree_predict(tree, np.array([0.7])) == 1.0
@@ -370,49 +404,52 @@ def test_the_leaf_walk_ends_where_the_paths_end(case, block_node_ids, seed, tmp_
     flat = ens.flat
     n_trees = len(ens.trees)
     with mock.patch.object(kernel, "BLOCK_NODE_IDS", block_node_ids):
-        # Three blocks of paths, the last of one row.
-        n_rows = 2 * max(1, block_node_ids // (n_trees * (flat.depth + 1))) + 1
-        X = chain_rows(rng, n_rows) if case == "chain" else rows_with_ties(rng, ens, n_rows)
-        last_step = np.full((n_trees, n_rows), -1)
+        # Three blocks of the leaf walk, the last of one row.
+        n_rows = 2 * max(1, block_node_ids // n_trees) + 1
+        # A chain's rows repeat, so that the oracle below tests each distinct row once.
+        X = chain_rows(rng, 4096)[rng.integers(4096, size=n_rows)] if case == "chain" else rows_with_ties(rng, ens, n_rows)
+        reached = np.full((n_trees, n_rows), -1)
         blocks = 0
-        for rows, ids in flat.paths(X):
-            last_step[:, rows] = ids[:, -1]
-            blocks += 1
-        leaf = np.full((n_trees, n_rows), -1)
         for rows, leaves in flat.leaves(X):
-            leaf[:, rows] = leaves
-        predictions = predict_batch(ens, X)
-        explained = _explain_arrays(ens, X)[2]
+            reached[:, rows] = leaves
+            blocks += 1
+        # Three blocks of explanation's walk, whose blocks are smaller.
+        head = X[: 2 * max(1, block_node_ids // (n_trees * max(1, flat.depth))) + 1]
+        predictions = predict_batch(ens, head)
+        explained = _explain_arrays(ens, head)[2]
     assert blocks == 3
-    assert (last_step >= 0).all() and np.array_equal(leaf, last_step)
+    distinct, row_of = np.unique(X, axis=0, return_inverse=True)
+    oracle = [region_leaf_values(tree, distinct)[row_of.ravel()] for tree in ens.trees]
+    assert bits(flat.value[reached]) == bits(oracle)
     assert bits(predictions) == bits(explained)
 
 
-def test_predict_walks_to_the_leaves_only(monkeypatch, d0_two_trees):
-    calls = []
-    paths = kernel.FlatForest.paths
+def test_every_command_walks_to_the_leaves_only(monkeypatch, tmp_path, d0_two_trees):
+    # A leaf has one path from its root, so no command keeps a row's path:
+    # each walk is the leaf walk or explanation's, driven by _walk.
+    assert not hasattr(kernel.FlatForest, "paths") and not hasattr(kernel.FlatForest, "edges")
+    model, data = tmp_path / "model.json", tmp_path / "data.csv"
+    save_model(d0_two_trees, model)
+    data.write_text("f0,f1,y\n" + "".join(f"{a!r},{b!r},{y!r}\n" for (a, b), y in zip(D0_X.tolist(), D0_Y.tolist())))
+    walks, levels = [], kernel.FlatForest._levels
 
-    def spy(self, X):
-        calls.append(X.shape)
-        return paths(self, X)
+    def spy(self, x, steps=None):
+        walks.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
+        return levels(self, x, steps)
 
-    monkeypatch.setattr(kernel.FlatForest, "paths", spy)
-    predictions = predict_batch(d0_two_trees, D0_X)
-    _bias, _contributions, explained = _explain_arrays(d0_two_trees, D0_X)
-    assert calls == []
-    assert bits(explained) == bits(predictions)
-
-
-def test_decision_spaces_and_the_partition_check_walk_to_the_leaves_only(monkeypatch, d0_two_trees):
-    calls = []
-    paths, edges = kernel.FlatForest.paths, kernel.FlatForest.edges
-    monkeypatch.setattr(kernel.FlatForest, "paths", lambda self, X: calls.append("paths") or paths(self, X))
-    monkeypatch.setattr(kernel.FlatForest, "edges", staticmethod(lambda ids: calls.append("edges") or edges(ids)))
-    _decision_bounds(d0_two_trees, D0_X)
-    assert cli._partition_violation(d0_two_trees) is None
-    assert calls == []
-    decision_contributions(d0_two_trees, D0_X[0])  # the spies see the records' walk
-    assert calls == ["paths", "edges"]
+    monkeypatch.setattr(kernel.FlatForest, "_levels", spy)
+    files = ["--model", str(model), "--data", str(data), "--target", "y"]
+    outputs = [str(tmp_path / name) for name in ("out.csv", "records.csv", "space.csv")]
+    leaves, explanation = ("_walk", "leaves"), ("_walk", "_explain")
+    for command, walked in [
+        (["predict", *files, "--out", outputs[0]], {leaves}),
+        (["explain", *files, "--check", "--out", outputs[0], "--decision-records", outputs[1], "--decision-space", outputs[2]],
+         {leaves, explanation}),
+        (["verify", *files], {leaves, explanation}),
+    ]:
+        walks.clear()
+        assert cli.main(command) == 0
+        assert set(walks) == walked, command[0]
 
 
 def test_the_leaf_walk_keeps_no_bins():
@@ -454,6 +491,24 @@ def test_explain_through_a_deep_chain_stops_at_each_blocks_deepest_leaf():
     for x, e in zip(X[:20], explanations):
         bias, contributions = naive_contributions(ens, x)
         assert bits(e.bias) == bits(bias) and bits(e.contributions["x0"]) == bits(contributions)
+
+
+def test_records_and_the_telescoping_check_through_a_deep_chain_read_the_leaves():
+    ens = Ensemble(0.0, 1.0, kernel.FlatForest.of([CHAIN], 1.0), ("x0",))
+    X = chain_rows(np.random.default_rng(7), 20_000)
+    ens.flat.parent  # built outside the limits, as a loaded model's would be
+    with time_limit(5):
+        assert cli._telescoping_violation(ens, X) is None
+    with time_limit(5):
+        cli._write_decision_records(os.devnull, ens, X)
+
+
+def test_the_region_table_is_built_once_per_model(monkeypatch, d0_two_trees):
+    builds, regions = [], kernel.FlatForest.regions
+    monkeypatch.setattr(kernel.FlatForest, "regions", lambda self, d: builds.append(d) or regions(self, d))
+    assert decision_space(d0_two_trees, D0_X[0]) != decision_space(d0_two_trees, D0_X[3])
+    assert cli._partition_violation(d0_two_trees) is None
+    assert builds == [2]
 
 
 def test_kernel_imports_nothing_from_the_package_at_run_time():
