@@ -196,6 +196,8 @@ def _telescoping_violation(model: Ensemble, X: np.ndarray) -> str | None:
             largest[child] = np.maximum(largest[level], largest[child])
         level = np.concatenate([flat.left[level], flat.right[level]])
     missed = _misses(walked - flat.value, 1e-12, largest)
+    if not missed.any():  # the walk only picks which row and tree to report
+        return None
     for rows, leaves in flat.leaves(X):
         failed = np.argwhere(missed[leaves].T)
         if failed.size:
@@ -277,49 +279,13 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(**{field.name: getattr(args, field.name) for field in fields(ExperimentConfig)})
 
 
-def _finish_experiment(report, out_dir) -> int:
-    csv_path, meta_path = write_report(report, out_dir)
-    print(f"wrote {csv_path}")
-    print(f"wrote {meta_path}")
+def cmd_experiment(args) -> int:
+    """Run the study's runner, args.run, on the arguments its subcommand names in args.keywords."""
+    study_args = {name: getattr(args, name) for name in args.keywords}
+    report = args.run(load_csv(args.data, args.target), config=_experiment_config(args), **study_args)
+    for path in write_report(report, args.out_dir):
+        print(f"wrote {path}")
     return 0
-
-
-def cmd_experiment_correlation(args) -> int:
-    ds = load_csv(args.data, args.target)
-    base = None if args.base_feature == "auto" else args.base_feature
-    report = run_correlation_experiment(
-        ds,
-        base_feature=base,
-        seeds=args.seeds,
-        factor=args.factor,
-        offset=args.offset,
-        config=_experiment_config(args),
-    )
-    return _finish_experiment(report, args.out_dir)
-
-
-def cmd_experiment_noise(args) -> int:
-    ds = load_csv(args.data, args.target)
-    feature = None if args.feature == "auto" else args.feature
-    report = run_noise_experiment(
-        ds,
-        feature=feature,
-        levels=args.levels,
-        seed=args.seed,
-        config=_experiment_config(args),
-    )
-    return _finish_experiment(report, args.out_dir)
-
-
-def cmd_experiment_outlier(args) -> int:
-    ds = load_csv(args.data, args.target)
-    report = run_outlier_experiment(
-        ds,
-        feature=args.feature,
-        seeds=args.seeds,
-        config=_experiment_config(args),
-    )
-    return _finish_experiment(report, args.out_dir)
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -354,6 +320,11 @@ _seed = _ranged(int, lambda v: v >= 0, "at least 0")
 _rate = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _fraction = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _finite = _ranged(float, math.isfinite, "finite")
+
+
+def _auto(text: str) -> str | None:
+    """A feature name, or None for 'auto' (the runner then picks the most important feature)."""
+    return None if text == "auto" else text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper_flags(p, CORRELATION_CONFIG)
     p.add_argument(
         "--base-feature",
+        type=_auto,
         default="auto",
         help="feature to copy ('auto' picks the most important one)",
     )
@@ -432,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=_finite, help="fix the copy's factor instead of drawing it")
     p.add_argument("--offset", type=_finite, help="fix the copy's offset instead of drawing it")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_experiment_correlation)
+    p.set_defaults(func=cmd_experiment, run=run_correlation_experiment, keywords=("base_feature", "seeds", "factor", "offset"))
 
     p = exp_sub.add_parser(
         "noise", help="noise one training feature at several levels and re-attribute"
@@ -441,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper_flags(p, NOISE_CONFIG)
     p.add_argument(
         "--feature",
+        type=_auto,
         default="auto",
         help="feature to noise ('auto' picks the most important one)",
     )
@@ -453,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_experiment_noise)
+    p.set_defaults(func=cmd_experiment, run=run_noise_experiment, keywords=("feature", "levels", "seed"))
 
     p = exp_sub.add_parser(
         "outlier", help="plant an extreme fake sample and explain it"
@@ -466,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", type=_seed, nargs="+", default=DEFAULT_SEEDS)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_experiment_outlier)
+    p.set_defaults(func=cmd_experiment, run=run_outlier_experiment, keywords=("feature", "seeds"))
 
     return parser
 

@@ -106,6 +106,27 @@ def _mean_rows(prefix: tuple, names, matrix: np.ndarray) -> list[tuple]:
     ]
 
 
+def _seeds(seeds) -> tuple[int, ...]:
+    """The seeds as ints, or ValueError unless they are a non-empty iterable of non-negative integers
+    (Python or numpy; neither a bool nor a string is one)."""
+    try:
+        seeds = tuple(seeds)
+    except TypeError:
+        raise ValueError(f"seeds must be an iterable of integers, got {seeds!r}") from None
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"a seed must be a non-negative integer, got {seed!r}")
+    return tuple(map(int, seeds))
+
+
+def _report(name: str, ds: Dataset, config: ExperimentConfig, columns: tuple, rows, **metadata) -> ExperimentReport:
+    """The study's report. Its metadata leads with the study, its config and its dataset's fingerprint."""
+    metadata = {"experiment": name, "config": asdict(config), "dataset_sha256": dataset_fingerprint(ds), **metadata}
+    return ExperimentReport(name, columns, tuple(rows), metadata)
+
+
 def run_correlation_experiment(
     ds: Dataset,
     *,
@@ -130,9 +151,7 @@ def run_correlation_experiment(
     of seeds[0]'s. The augmented models, a column wider, grow as another.
     Explicit arguments are checked before any model is fitted.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds = _seeds(seeds)
     if base_feature is not None:
         ds.feature_index(base_feature)
     runs_meta = []
@@ -170,33 +189,12 @@ def run_correlation_experiment(
 
         rows.extend(_mean_rows((seed, "original"), ds.feature_names, mat_orig))
         rows.extend(_mean_rows((seed, "augmented"), train_aug.feature_names, mat_aug))
-        pair = (
-            mat_aug[:, train_aug.feature_index(base)]
-            + mat_aug[:, train_aug.feature_index(new_name)]
-        )
-        rows.append(
-            (
-                seed,
-                "augmented",
-                f"{base}+{new_name}",
-                float(pair.mean()),
-                float(np.abs(pair).mean()),
-            )
-        )
+        pair = mat_aug[:, train_aug.feature_index(base)] + mat_aug[:, train_aug.feature_index(new_name)]
+        rows.extend(_mean_rows((seed, "augmented"), [f"{base}+{new_name}"], pair[:, None]))
 
-    metadata = {
-        "experiment": "correlation",
-        "config": asdict(config),
-        "dataset_sha256": dataset_fingerprint(ds),
-        "base_feature": base,
-        "correlated_feature": new_name,
-        "runs": runs_meta,
-    }
-    return ExperimentReport(
-        name="correlation",
-        columns=("seed", "model", "feature", "mean_contribution", "mean_abs_contribution"),
-        rows=tuple(rows),
-        metadata=metadata,
+    return _report(
+        "correlation", ds, config, ("seed", "model", "feature", "mean_contribution", "mean_abs_contribution"), rows,
+        base_feature=base, correlated_feature=new_name, runs=runs_meta,
     )
 
 
@@ -214,8 +212,9 @@ def run_noise_experiment(
     set and explains the same clean test rows. Level 0 adds no noise and
     consumes no random draws, so its rows reproduce the baseline exactly,
     and it reuses the baseline model when one was fitted to pick the feature.
-    The levels are checked before any model is fitted.
+    The seed and levels are checked before any model is fitted.
     """
+    seed = _seeds([seed])[0]
     levels = tuple(float(lv) for lv in levels)
     if not levels:
         raise ValueError("need at least one noise level")
@@ -238,20 +237,9 @@ def run_noise_experiment(
         matrix = _explain_arrays(baseline if r else next(fitted), test)[1]
         rows.extend(_mean_rows((seed, level), ds.feature_names, matrix))
 
-    metadata = {
-        "experiment": "noise",
-        "config": asdict(config),
-        "dataset_sha256": dataset_fingerprint(ds),
-        "noised_feature": feature,
-        "seed": seed,
-        "levels": list(levels),
-        "noise_seeds": [int(s) for s in noise_seeds],
-    }
-    return ExperimentReport(
-        name="noise",
-        columns=("seed", "level", "feature", "mean_contribution", "mean_abs_contribution"),
-        rows=tuple(rows),
-        metadata=metadata,
+    return _report(
+        "noise", ds, config, ("seed", "level", "feature", "mean_contribution", "mean_abs_contribution"), rows,
+        noised_feature=feature, seed=seed, levels=list(levels), noise_seeds=[int(s) for s in noise_seeds],
     )
 
 
@@ -271,9 +259,7 @@ def run_outlier_experiment(
     feature when features are sorted by |contribution| descending (ties
     share the better rank).
     """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds = _seeds(seeds)
     feat = ds.feature_names[0] if feature is None else feature
     ds.feature_index(feat)
 
@@ -304,27 +290,8 @@ def run_outlier_experiment(
             )
         )
 
-    metadata = {
-        "experiment": "outlier",
-        "config": asdict(config),
-        "dataset_sha256": dataset_fingerprint(ds),
-        "manipulated_feature": feat,
-        "seeds": list(seeds),
-    }
-    return ExperimentReport(
-        name="outlier",
-        columns=(
-            "seed",
-            "bias",
-            *ds.feature_names,
-            "prediction",
-            "y_fake",
-            "manipulated_feature",
-            "manipulated_rank",
-        ),
-        rows=tuple(rows),
-        metadata=metadata,
-    )
+    columns = ("seed", "bias", *ds.feature_names, "prediction", "y_fake", "manipulated_feature", "manipulated_rank")
+    return _report("outlier", ds, config, columns, rows, manipulated_feature=feat, seeds=list(seeds))
 
 
 def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:

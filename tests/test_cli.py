@@ -729,6 +729,23 @@ class TestVerify:
         model.flat.value = model.flat.value.astype(np.float32)
         assert cli._telescoping_violation(model, np.array([[0.0]])) == "sample 0, tree 0"
 
+    def test_the_telescoping_check_walks_rows_only_when_a_node_misses(self, monkeypatch):
+        walks = []
+        real = FlatForest.leaves
+
+        def spy(flat, X):
+            walks.append(len(X))
+            return real(flat, X)
+
+        monkeypatch.setattr(FlatForest, "leaves", spy)
+        tree = tree_of([(0.3, 3, 0, 0.5, 1, 4), (1.7, 2, 0, 0.25, 2, 3), (0.2, 1), (0.0, 1), (0.0, 1)])
+        X = np.array([[1.0], [0.0]])
+        model = Ensemble(0.0, 1.0, FlatForest.of([tree], 1.0), ("a",))
+        assert (cli._telescoping_violation(model, X), walks) == (None, [])
+        # The single-precision mutant misses at leaf 2, which row 1 reaches.
+        model.flat.value = model.flat.value.astype(np.float32)
+        assert (cli._telescoping_violation(model, X), walks) == ("sample 1, tree 0", [2])
+
     def test_a_chain_deeper_than_the_recursion_limit_verifies(self, tmp_path, capsys):
         # Internal node k (k < 3000) tests a <= -k; its left child is node
         # k + 1 and its right child leaf 3001 + k. Node 3000 is the deepest
@@ -987,6 +1004,27 @@ class TestExperimentCommands:
             reports.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
         assert len(reports[0]) == 2 and reports[0] == reports[1]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("study, flag", [("correlation", "--base-feature"), ("noise", "--feature")])
+    def test_auto_is_the_default(self, study, flag, data_csv, tmp_path, capsys):
+        reports = []
+        for extra in ([], [flag, "auto"]):
+            out_dir = tmp_path / str(len(reports))
+            argv = ["experiment", study, "--data", str(data_csv), "--target", "y", "--n-estimators", "3", "--out-dir", str(out_dir)]
+            assert cli.main([*argv, *extra]) == 0
+            reports.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+        assert len(reports[0]) == 2 and reports[0] == reports[1]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "study, flag, key",
+        [("correlation", "--base-feature", "base_feature"), ("noise", "--feature", "noised_feature"), ("outlier", "--feature", "manipulated_feature")],
+    )
+    def test_a_named_feature_is_recorded(self, study, flag, key, data_csv, tmp_path, capsys):
+        argv = ["experiment", study, "--data", str(data_csv), "--target", "y", "--n-estimators", "3", flag, "x1"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / f"{study}_metadata.json").read_text())[key] == "x1"
+        assert capsys.readouterr().out == f"wrote {tmp_path / study}.csv\nwrote {tmp_path / study}_metadata.json\n"
 
     def test_missing_experiment_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

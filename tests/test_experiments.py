@@ -365,6 +365,33 @@ class TestFitsEachModelOnce:
                 runner(small, config=CFG, **kwargs)
         assert ensemble.call_count == 0
 
+    @pytest.mark.parametrize(
+        "runner, kwargs",
+        [
+            (run_outlier_experiment, {"seeds": [1.7]}),
+            (run_outlier_experiment, {"seeds": "12"}),
+            (run_outlier_experiment, {"seeds": 5}),
+            (run_correlation_experiment, {"seeds": [0, True]}),
+            (run_correlation_experiment, {"seeds": [-1]}),
+            (run_correlation_experiment, {"seeds": ()}),
+            (run_noise_experiment, {"seed": 1.5}),
+            (run_noise_experiment, {"seed": "3"}),
+            (run_noise_experiment, {"seed": np.True_}),
+        ],
+        ids=["float", "string", "int", "bool", "negative", "empty", "noise-float", "noise-string", "noise-numpy-bool"],
+    )
+    def test_bad_seeds_are_refused_before_any_fit(self, small, runner, kwargs):
+        with mock.patch("boostcontrib.boosting.Ensemble", wraps=Ensemble) as ensemble:
+            with pytest.raises(ValueError, match="seed"):
+                runner(small, config=CFG, **kwargs)
+        assert ensemble.call_count == 0
+
+    def test_numpy_integer_seeds_are_recorded_as_ints(self, small):
+        assert run_outlier_experiment(small, seeds=np.array([4, 0]), config=CFG).metadata["seeds"] == [4, 0]
+        report = run_noise_experiment(small, levels=(0.0,), seed=np.uint8(3), config=CFG)
+        assert report == run_noise_experiment(small, levels=(0.0,), seed=3, config=CFG)
+        assert type(report.metadata["seed"]) is int
+
 
 class TestLockstepMemory:
     """Growing a study's fits together holds all their models at once, but
